@@ -27,6 +27,11 @@ from .specfun import (
     bessel_i0_scaled,
     invert_monotone,
     noncentral_chisq2_cdf,
+    require_count,
+    require_nonnegative,
+    require_open_unit,
+    require_positive,
+    upper_bracket,
 )
 
 __all__ = [
@@ -47,26 +52,6 @@ _QUAD_TAIL = 1e-12
 _QUAD_ABS = 1e-8
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
-
-
-def _check_nonnegative(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value
-
-
-def _check_count(name: str, value: int, minimum: int) -> int:
-    if isinstance(value, bool) or int(value) != value or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """True configuration generating the replicated observations."""
@@ -76,9 +61,9 @@ class Scenario:
     radius: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta_true", _check_nonnegative("delta_true", self.delta_true))
-        object.__setattr__(self, "sigma", _check_positive("sigma", self.sigma))
-        object.__setattr__(self, "radius", _check_positive("radius", self.radius))
+        object.__setattr__(self, "delta_true", require_nonnegative("delta_true", self.delta_true))
+        object.__setattr__(self, "sigma", require_positive("sigma", self.sigma))
+        object.__setattr__(self, "radius", require_positive("radius", self.radius))
 
 
 @dataclass(frozen=True)
@@ -98,16 +83,13 @@ class SweepConfig:
         if len(grid) == 0:
             raise DomainError("sigma_grid must be nonempty")
         for s in grid:
-            _check_positive("sigma_grid entry", s)
+            require_positive("sigma_grid entry", s)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("sigma_grid must be strictly increasing")
         object.__setattr__(self, "sigma_grid", grid)
-        object.__setattr__(self, "n_reps", _check_count("n_reps", self.n_reps, 1))
-        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
-        threshold = float(self.threshold)
-        if not (0.0 < threshold < 1.0):
-            raise DomainError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1))
+        object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
+        object.__setattr__(self, "threshold", require_open_unit("threshold", self.threshold))
 
 
 @dataclass(frozen=True)
@@ -209,14 +191,9 @@ def _ncx2_pdf(z: float, nu: float) -> float:
 
 
 def _upper_quantile(nu: float, p: float) -> float:
-    hi = nu + 20.0
-    for _ in range(200):
-        if noncentral_chisq2_cdf(hi, nu) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"no quantile bracket at nu={nu!r}, p={p!r}")
-    return invert_monotone(lambda z: noncentral_chisq2_cdf(z, nu), p, 0.0, hi)
+    cdf = lambda z: noncentral_chisq2_cdf(z, nu)
+    hi = upper_bracket(cdf, p, nu + 20.0, f"quantile {p!r} at nu={nu!r}")
+    return invert_monotone(cdf, p, 0.0, hi)
 
 
 def _integrate(fn, upper: float, label: str) -> float:
@@ -236,9 +213,7 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     the threshold crossing and read off the z tail mass; when even z = 0
     exceeds the threshold on the Bayes side the frequency is exactly 1.
     """
-    threshold = float(threshold)
-    if not (0.0 < threshold < 1.0):
-        raise DomainError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
+    threshold = require_open_unit("threshold", threshold)
     sigma = scenario.sigma
     nu0 = (scenario.delta_true / sigma) ** 2
     x0 = (scenario.radius / sigma) ** 2
@@ -261,16 +236,11 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     if noncentral_chisq2_cdf(x0, 0.0) <= 1.0 - threshold:
         freq_bayes = 1.0
     else:
-        hi = nu0 + x0 + 10.0
-        for _ in range(200):
-            if 1.0 - noncentral_chisq2_cdf(x0, hi) >= threshold:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError(f"no threshold bracket on the Bayes side at sigma={sigma!r}")
-        nu_star = invert_monotone(
-            lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold, 0.0, hi
+        noncol = lambda v: 1.0 - noncentral_chisq2_cdf(x0, v)
+        hi = upper_bracket(
+            noncol, threshold, nu0 + x0 + 10.0, f"the Bayes-side threshold at sigma={sigma!r}"
         )
+        nu_star = invert_monotone(noncol, threshold, 0.0, hi)
         freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
 
     # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1, so
@@ -294,9 +264,9 @@ def run_sweep(
     and summarizes them alongside their exact twins. workers only splits
     the drawing loop; outputs are identical for any worker count.
     """
-    delta_true = _check_nonnegative("delta_true", delta_true)
-    radius = _check_positive("radius", radius)
-    workers = _check_count("workers", workers, 1)
+    delta_true = require_nonnegative("delta_true", delta_true)
+    radius = require_positive("radius", radius)
+    workers = require_count("workers", workers, 1)
     n = config.n_reps
     rows = []
     for s_idx, sigma in enumerate(config.sigma_grid):
@@ -348,9 +318,9 @@ def pit_sample(
     two-sided KS statistic against uniformity, a 20-bin histogram, and the
     sample mean.
     """
-    n = _check_count("n", n, 100)
-    seed = _check_count("seed", seed, 0)
-    workers = _check_count("workers", workers, 1)
+    n = require_count("n", n, 100)
+    seed = require_count("seed", seed, 0)
+    workers = require_count("workers", workers, 1)
     z = _squared_norm_ratios(scenario, seed, (), n, workers)
     x0 = (scenario.radius / scenario.sigma) ** 2
     u = _cdf_grid_x(z, x0)

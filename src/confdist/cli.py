@@ -10,6 +10,9 @@ Output goes to stdout unless --output names a file; --format selects
 text, csv, or json. A flat "key = value" config file can supply any
 parameter (keys match the long flag names); explicit flags win. Exit
 codes: 0 success, 2 usage or validation error, 1 numerical failure.
+
+Each command is one table of Param entries (COMMANDS): the argparse flags,
+config keys, flag > config > default precedence and usage checks derive from it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,49 +68,108 @@ ANALYZE_HEADER = (
     "cd_lo,cd_hi,cd_lo_clipped,bayes_lo,bayes_hi,bayes_lo_clipped"
 )
 
-DEFAULT_SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-DEFAULT_GRID_SPEC = "0:12:481"
-
 
 class UsageError(Exception):
     """Invalid flag or config input; mapped to exit code 2."""
 
 
-def _g10(value: float) -> str:
-    return f"{float(value):.10g}"
+REQUIRED = object()  # Param.default of a parameter that has none
 
 
-def _f3(value: float) -> str:
-    return f"{float(value):.3f}"
+class Param(NamedTuple):
+    """One command-line parameter. cast reads flag and config text; default
+    is config text, None (optional) or REQUIRED; rule(value, flag) returns
+    the accepted value or raises UsageError."""
+
+    flag: str
+    cast: Callable[[str], object]
+    help: str
+    default: object = None
+    rule: Callable[[object, str], object] | None = None
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _g6(value: float) -> str:
-    return f"{float(value):.6g}"
+def _rule(test: Callable[[object], bool], message: str) -> Callable[[object, str], object]:
+    def check(value, flag):
+        if not test(value):
+            raise UsageError(f"{flag} {message}")
+        return value
+    return check
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+_FINITE = _rule(math.isfinite, "must be a finite number")
+_NONNEGATIVE = _rule(lambda v: 0.0 <= v < math.inf, "must be a finite nonnegative number")
+_POSITIVE = _rule(lambda v: 0.0 < v < math.inf, "must be a positive finite number")
+_UNIT_OPEN = _rule(lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
 
 
-def _pct(level: float) -> str:
-    return f"{100.0 * level:g}%"
+def _grid(text: str, flag: str) -> np.ndarray:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"{flag} must look like lo:hi:n, got {text!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise UsageError(f"{flag} must look like lo:hi:n with numeric parts, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or count < 2:
+        raise UsageError(f"{flag} needs 0 <= lo < hi and n >= 2")
+    return np.linspace(lo, hi, count)
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
+def _sigma_grid(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
+    ordered = all(b > a for a, b in zip(values, values[1:]))
+    if not ordered or not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise UsageError(f"{flag} must be a strictly increasing list of positive numbers")
+    return values
 
 
-def _check_positive(value: float, flag: str) -> None:
-    _check(math.isfinite(value) and value > 0.0, f"{flag} must be a positive finite number")
+NORM = Param("--norm", float, "observed displacement norm |y|", rule=_NONNEGATIVE)
+SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED, _POSITIVE)
+RADIUS = Param("--radius", float, "collision radius R", REQUIRED, _POSITIVE)
+DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED, _NONNEGATIVE)
+SEED = Param("--seed", int, "base seed", "1",
+             _rule(lambda v: v >= 0, "must be a nonnegative integer"))
+WORKERS = Param("--workers", int, "draw-loop threads", "1",
+                _rule(lambda v: v >= 1, "must be an integer >= 1"))
+OUTPUT = Param("--output", str, "write to this file instead of stdout", metavar="PATH")
+FORMAT = Param("--format", str, "output format", choices=("text", "csv", "json"))
 
 
-def _check_nonnegative(value: float, flag: str) -> None:
-    _check(math.isfinite(value) and value >= 0.0, f"{flag} must be a finite nonnegative number")
-
-
-def _check_unit_open(value: float, flag: str) -> None:
-    _check(0.0 < value < 1.0, f"{flag} must lie strictly between 0 and 1")
+def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.Namespace:
+    """Each parameter's value by flag > config > default, then its rule."""
+    unknown = sorted(set(cfg) - {p.key for p in params})
+    if unknown:
+        raise UsageError(f"config contains keys not used by this command: {', '.join(unknown)}")
+    values = {}
+    for p in params:
+        value = getattr(args, p.key)
+        text = cfg.get(p.key, p.default)
+        if value is None and text is REQUIRED:
+            raise UsageError(f"{p.flag} is required")
+        if value is None and text is not None:
+            try:
+                value = p.cast(text)
+            except ValueError:
+                raise UsageError(f"config value {text!r} is invalid for {p.flag}")
+        values[p.key] = value
+    for p in params:
+        value = values[p.key]
+        if value is None:
+            continue
+        if p.choices and value not in p.choices:
+            raise UsageError(f"{p.flag} must be one of {', '.join(p.choices)}")
+        if p.rule:
+            values[p.key] = p.rule(value, p.flag)
+    return argparse.Namespace(**values)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -127,67 +190,24 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _known_keys(cfg: dict[str, str], allowed: set[str]) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise UsageError(f"config contains keys not used by this command: {', '.join(unknown)}")
+def _cell(value, spec: str) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), spec)
 
 
-def _resolve(args, cfg, name, cast, default=None, required=False):
-    value = getattr(args, name, None)
-    if value is None and name in cfg:
-        raw = cfg[name]
-        try:
-            value = cast(raw)
-        except UsageError:
-            raise
-        except (TypeError, ValueError):
-            raise UsageError(f"config value {raw!r} is invalid for --{name.replace('_', '-')}")
-    if value is None:
-        value = default
-    if value is None and required:
-        raise UsageError(f"--{name.replace('_', '-')} is required")
-    return value
-
-
-def _resolve_format(args, cfg, default: str) -> str:
-    fmt = _resolve(args, cfg, "format", str, default=default)
-    _check(fmt in ("text", "csv", "json"), "--format must be one of text, csv, json")
-    return fmt
-
-
-def _parse_grid_spec(text: str):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--grid must look like lo:hi:n, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"--grid must look like lo:hi:n with numeric parts, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or count < 2:
-        raise UsageError("--grid needs 0 <= lo < hi and n >= 2")
-    return np.linspace(lo, hi, count)
-
-
-def _parse_sigma_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in str(text).split(","))
-    except ValueError:
-        raise UsageError(f"--sigma-grid must be comma-separated numbers, got {text!r}")
-    ordered = all(b > a for a, b in zip(values, values[1:]))
-    positive = all(math.isfinite(v) and v > 0.0 for v in values)
-    if not values or not positive or not ordered:
-        raise UsageError("--sigma-grid must be a strictly increasing list of positive numbers")
-    return values
-
-
-def _render_table_text(columns: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(name), max((len(row[i]) for row in rows), default=0))
-        for i, name in enumerate(columns)
-    ]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in [columns, *rows]]
-    return "\n".join(lines) + "\n"
+def _render(fmt: str, columns: list[str], rows: list[list]) -> str:
+    """One table as csv, as json {"rows": [...]}, or as right-aligned text."""
+    if fmt == "json":
+        return json.dumps({"rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+    spec = ".10g" if fmt == "csv" else ".6g"
+    lines = [columns, *([_cell(value, spec) for value in row] for row in rows)]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -201,256 +221,171 @@ def _write_output(text: str, path: str | None) -> None:
         raise UsageError(f"--output: cannot write {path}: {exc}")
 
 
-def _resolve_observation(args, cfg, sigma: float) -> Observation:
-    norm = _resolve(args, cfg, "norm", float)
-    y1 = _resolve(args, cfg, "y1", float)
-    y2 = _resolve(args, cfg, "y2", float)
-    if norm is not None and (y1 is not None or y2 is not None):
+def _observation(v: argparse.Namespace) -> Observation:
+    if v.norm is not None and (v.y1 is not None or v.y2 is not None):
         raise UsageError("pass either --norm or the --y1/--y2 pair, not both")
-    if norm is None:
-        if y1 is None or y2 is None:
-            raise UsageError("provide --norm, or both --y1 and --y2")
-        _check(math.isfinite(y1), "--y1 must be a finite number")
-        _check(math.isfinite(y2), "--y2 must be a finite number")
-        return Observation(y1, y2, sigma)
-    _check_nonnegative(norm, "--norm")
-    return Observation.from_norm(norm, sigma)
+    if v.norm is not None:
+        return Observation.from_norm(v.norm, v.sigma)
+    if v.y1 is None or v.y2 is None:
+        raise UsageError("provide --norm, or both --y1 and --y2")
+    return Observation(v.y1, v.y2, v.sigma)
 
 
-def _run_analyze(args, cfg) -> tuple[str, str | None]:
-    _known_keys(cfg, {"norm", "y1", "y2", "sigma", "radius", "level", "format", "output"})
-    sigma = _resolve(args, cfg, "sigma", float, required=True)
-    radius = _resolve(args, cfg, "radius", float, required=True)
-    level = _resolve(args, cfg, "level", float, default=0.90)
-    fmt = _resolve_format(args, cfg, default="text")
-    out = _resolve(args, cfg, "output", str)
-    _check_positive(sigma, "--sigma")
-    _check_positive(radius, "--radius")
-    _check_unit_open(level, "--level")
-    obs = _resolve_observation(args, cfg, sigma)
-
-    b_r = bayes_cdf(obs, radius)
-    c_r = collision_confidence(obs, radius)
-    pval = noncollision_pvalue(obs, radius)
+def _analyze(v: argparse.Namespace) -> str:
+    obs = _observation(v)
+    b_r = bayes_cdf(obs, v.radius)
+    c_r = collision_confidence(obs, v.radius)
+    pval = noncollision_pvalue(obs, v.radius)
     med_cd = median(obs, "cd")
     med_b = median(obs, "bayes")
-    iv_cd = level_interval(obs, "cd", level)
-    iv_b = level_interval(obs, "bayes", level)
+    iv_cd = level_interval(obs, "cd", v.level)
+    iv_b = level_interval(obs, "bayes", v.level)
 
-    if fmt == "text":
-        med_cd_note = " (at boundary)" if med_cd.at_boundary else ""
-        med_b_note = " (at boundary)" if med_b.at_boundary else ""
-        cd_note = " (lower endpoint clipped)" if iv_cd.lo_clipped else ""
-        b_note = " (lower endpoint clipped)" if iv_b.lo_clipped else ""
-        lines = [
-            f"distance analysis: |y| = {_f3(obs.norm)}, sigma = {_f3(obs.sigma)}, "
-            f"radius = {_f3(radius)}",
-            f"  posterior collision probability  B(R)     = {_f3(b_r)}",
-            f"  collision confidence             C(R)     = {_f3(c_r)}",
-            f"  non-collision p-value            1 - C(R) = {_f3(pval)}",
-            f"  median distance, confidence = {_f3(med_cd.value)}{med_cd_note}",
-            f"  median distance, posterior  = {_f3(med_b.value)}{med_b_note}",
-            f"  {_pct(level)} confidence interval = "
-            f"[{_f3(iv_cd.lo)}, {_f3(iv_cd.hi)}]{cd_note}",
-            f"  {_pct(level)} credible interval   = "
-            f"[{_f3(iv_b.lo)}, {_f3(iv_b.hi)}]{b_note}",
-        ]
-        return "\n".join(lines) + "\n", out
-
-    fields = [
-        ("norm", obs.norm),
-        ("sigma", obs.sigma),
-        ("radius", radius),
-        ("level", level),
-        ("b_radius", b_r),
-        ("c_radius", c_r),
-        ("pvalue", pval),
-        ("median_cd", med_cd.value),
-        ("median_cd_at_boundary", med_cd.at_boundary),
-        ("median_bayes", med_b.value),
-        ("median_bayes_at_boundary", med_b.at_boundary),
-        ("cd_lo", iv_cd.lo),
-        ("cd_hi", iv_cd.hi),
-        ("cd_lo_clipped", iv_cd.lo_clipped),
-        ("bayes_lo", iv_b.lo),
-        ("bayes_hi", iv_b.hi),
-        ("bayes_lo_clipped", iv_b.lo_clipped),
+    columns = ANALYZE_HEADER.split(",")
+    values = [
+        obs.norm, obs.sigma, v.radius, v.level, b_r, c_r, pval,
+        med_cd.value, med_cd.at_boundary, med_b.value, med_b.at_boundary,
+        iv_cd.lo, iv_cd.hi, iv_cd.lo_clipped, iv_b.lo, iv_b.hi, iv_b.lo_clipped,
     ]
-    if fmt == "csv":
-        cells = [_bool_str(v) if isinstance(v, bool) else _g10(v) for _, v in fields]
-        return ANALYZE_HEADER + "\n" + ",".join(cells) + "\n", out
-    return json.dumps(dict(fields), indent=2) + "\n", out
-
-
-def _run_curve(args, cfg) -> tuple[str, str | None]:
-    _known_keys(cfg, {"norm", "sigma", "grid", "format", "output"})
-    norm = _resolve(args, cfg, "norm", float, required=True)
-    sigma = _resolve(args, cfg, "sigma", float, required=True)
-    grid_spec = _resolve(args, cfg, "grid", str, default=DEFAULT_GRID_SPEC)
-    fmt = _resolve_format(args, cfg, default="csv")
-    out = _resolve(args, cfg, "output", str)
-    _check_nonnegative(norm, "--norm")
-    _check_positive(sigma, "--sigma")
-    grid = _parse_grid_spec(grid_spec)
-
-    table = tabulate_curves(Observation.from_norm(norm, sigma), grid)
-    columns = CURVE_HEADER.split(",")
-    raw_rows = zip(table.delta, table.b, table.c, table.cc, table.cred)
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {name: float(value) for name, value in zip(columns, row)}
-                for row in raw_rows
-            ]
-        }
-        return json.dumps(payload, indent=2) + "\n", out
-    cell_rows = [[_g10(v) for v in row] for row in raw_rows]
-    if fmt == "csv":
-        body = "\n".join(",".join(cells) for cells in cell_rows)
-        return CURVE_HEADER + "\n" + body + "\n", out
-    return _render_table_text(columns, [[_g6(v) for v in row] for row in
-                                        zip(table.delta, table.b, table.c, table.cc, table.cred)]), out
-
-
-def _sweep_row_values(row: CalibrationRow) -> list[float]:
-    return [
-        row.sigma,
-        row.mean_bayes,
-        row.mean_cd,
-        row.freq_bayes,
-        row.freq_cd,
-        row.mean_bayes_exact,
-        row.mean_cd_exact,
-        row.freq_bayes_exact,
-        row.freq_cd_exact,
-        row.stderr_mean_bayes,
-        row.stderr_mean_cd,
+    if v.format == "csv":
+        return _render("csv", columns, [values])
+    if v.format == "json":
+        return json.dumps(dict(zip(columns, values)), indent=2) + "\n"
+    pct = f"{100.0 * v.level:g}%"
+    boundary = {True: " (at boundary)", False: ""}
+    clipped = {True: " (lower endpoint clipped)", False: ""}
+    lines = [
+        f"distance analysis: |y| = {obs.norm:.3f}, sigma = {obs.sigma:.3f}, "
+        f"radius = {v.radius:.3f}",
+        f"  posterior collision probability  B(R)     = {b_r:.3f}",
+        f"  collision confidence             C(R)     = {c_r:.3f}",
+        f"  non-collision p-value            1 - C(R) = {pval:.3f}",
+        f"  median distance, confidence = {med_cd.value:.3f}{boundary[med_cd.at_boundary]}",
+        f"  median distance, posterior  = {med_b.value:.3f}{boundary[med_b.at_boundary]}",
+        f"  {pct} confidence interval = [{iv_cd.lo:.3f}, {iv_cd.hi:.3f}]"
+        f"{clipped[iv_cd.lo_clipped]}",
+        f"  {pct} credible interval   = [{iv_b.lo:.3f}, {iv_b.hi:.3f}]{clipped[iv_b.lo_clipped]}",
     ]
+    return "\n".join(lines) + "\n"
 
 
-def _run_sweep_cmd(args, cfg) -> tuple[str, str | None]:
-    _known_keys(
-        cfg,
-        {"delta_true", "radius", "sigma_grid", "n_reps", "seed", "threshold",
-         "workers", "format", "output"},
-    )
-    delta_true = _resolve(args, cfg, "delta_true", float, default=1.99)
-    radius = _resolve(args, cfg, "radius", float, default=2.00)
-    sigma_grid = _resolve(args, cfg, "sigma_grid", str, default=DEFAULT_SIGMA_GRID)
-    if isinstance(sigma_grid, str):
-        sigma_grid = _parse_sigma_grid(sigma_grid)
-    n_reps = _resolve(args, cfg, "n_reps", int, default=100000)
-    seed = _resolve(args, cfg, "seed", int, default=1)
-    threshold = _resolve(args, cfg, "threshold", float, default=0.95)
-    workers = _resolve(args, cfg, "workers", int, default=1)
-    fmt = _resolve_format(args, cfg, default="csv")
-    out = _resolve(args, cfg, "output", str)
-    _check_nonnegative(delta_true, "--delta-true")
-    _check_positive(radius, "--radius")
-    _check(n_reps >= 1, "--n-reps must be an integer >= 1")
-    _check(seed >= 0, "--seed must be a nonnegative integer")
-    _check_unit_open(threshold, "--threshold")
-    _check(workers >= 1, "--workers must be an integer >= 1")
+def _curve(v: argparse.Namespace) -> str:
+    table = tabulate_curves(Observation.from_norm(v.norm, v.sigma), v.grid)
+    rows = np.column_stack((table.delta, table.b, table.c, table.cc, table.cred)).tolist()
+    return _render(v.format, CURVE_HEADER.split(","), rows)
 
-    rows = run_sweep(
-        delta_true,
-        radius,
-        SweepConfig(sigma_grid=sigma_grid, n_reps=n_reps, seed=seed, threshold=threshold),
-        workers=workers,
-    )
+
+def _sweep(v: argparse.Namespace) -> str:
+    config = SweepConfig(v.sigma_grid, v.n_reps, v.seed, v.threshold)
+    rows = run_sweep(v.delta_true, v.radius, config, workers=v.workers)
     columns = SWEEP_HEADER.split(",")
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {name: value for name, value in zip(columns, _sweep_row_values(row))}
-                for row in rows
-            ]
-        }
-        return json.dumps(payload, indent=2) + "\n", out
-    if fmt == "csv":
-        body = "\n".join(",".join(_g10(v) for v in _sweep_row_values(row)) for row in rows)
-        return SWEEP_HEADER + "\n" + body + "\n", out
-    cell_rows = [[_g6(v) for v in _sweep_row_values(row)] for row in rows]
-    return _render_table_text(columns, cell_rows), out
+    return _render(v.format, columns, [[getattr(row, name) for name in columns] for row in rows])
 
 
-def _run_pit(args, cfg) -> tuple[str, str | None]:
-    _known_keys(
-        cfg,
-        {"delta_true", "sigma", "radius", "n", "seed", "workers", "format", "output"},
-    )
-    delta_true = _resolve(args, cfg, "delta_true", float, required=True)
-    sigma = _resolve(args, cfg, "sigma", float, required=True)
-    radius = _resolve(args, cfg, "radius", float, required=True)
-    n = _resolve(args, cfg, "n", int, default=100000)
-    seed = _resolve(args, cfg, "seed", int, default=1)
-    workers = _resolve(args, cfg, "workers", int, default=1)
-    fmt = _resolve_format(args, cfg, default="text")
-    out = _resolve(args, cfg, "output", str)
-    _check_nonnegative(delta_true, "--delta-true")
-    _check_positive(sigma, "--sigma")
-    _check_positive(radius, "--radius")
-    _check(n >= 100, "--n must be an integer >= 100")
-    _check(seed >= 0, "--seed must be a nonnegative integer")
-    _check(workers >= 1, "--workers must be an integer >= 1")
-
-    summary = pit_sample(Scenario(delta_true, sigma, radius), n, seed, workers=workers)
+def _pit(v: argparse.Namespace) -> str:
+    summary = pit_sample(Scenario(v.delta_true, v.sigma, v.radius), v.n, v.seed, workers=v.workers)
     critical = KS_CRITICAL_1PCT / math.sqrt(summary.n)
     consistent = summary.ks_stat <= critical
-    edges = [i / 20.0 for i in range(21)]
-    if fmt == "csv":
-        body = "\n".join(
-            f"{_g10(edges[i])},{_g10(edges[i + 1])},{count}"
-            for i, count in enumerate(summary.histogram)
-        )
-        return PIT_HEADER + "\n" + body + "\n", out
-    if fmt == "json":
+    columns = PIT_HEADER.split(",")
+    rows = [[i / 20.0, (i + 1) / 20.0, count] for i, count in enumerate(summary.histogram)]
+    if v.format == "csv":
+        return _render("csv", columns, rows)
+    if v.format == "json":
         payload = {
             "n": summary.n,
             "ks_stat": summary.ks_stat,
             "ks_critical_1pct": critical,
             "uniform_consistent": consistent,
             "mean_u": summary.mean_u,
-            "histogram": [
-                {"bin_lo": edges[i], "bin_hi": edges[i + 1], "count": count}
-                for i, count in enumerate(summary.histogram)
-            ],
+            "histogram": [dict(zip(columns, row)) for row in rows],
         }
-        return json.dumps(payload, indent=2) + "\n", out
+        return json.dumps(payload, indent=2) + "\n"
     verdict = "consistent with uniform" if consistent else (
-        f"NOT consistent with uniform ({_g6(summary.ks_stat)} > {_g6(critical)})"
+        f"NOT consistent with uniform ({summary.ks_stat:.6g} > {critical:.6g})"
     )
     lines = [
-        f"pit uniformity check: delta_true = {_g6(delta_true)}, sigma = {_g6(sigma)}, "
-        f"radius = {_g6(radius)}, n = {summary.n}",
-        f"  ks statistic      = {_g6(summary.ks_stat)}",
-        f"  1% critical value = {_g6(critical)}  ({_g6(KS_CRITICAL_1PCT)} / sqrt(n))",
+        f"pit uniformity check: delta_true = {v.delta_true:.6g}, sigma = {v.sigma:.6g}, "
+        f"radius = {v.radius:.6g}, n = {summary.n}",
+        f"  ks statistic      = {summary.ks_stat:.6g}",
+        f"  1% critical value = {critical:.6g}  ({KS_CRITICAL_1PCT:.6g} / sqrt(n))",
         f"  verdict: {verdict}",
-        f"  mean of 1 - C(R|Y) = {_g6(summary.mean_u)}",
+        f"  mean of 1 - C(R|Y) = {summary.mean_u:.6g}",
         "  histogram (20 bins over [0, 1]):",
+        *(f"    [{lo:.2f}, {hi:.2f})  {count}" for lo, hi, count in rows),
     ]
-    for i, count in enumerate(summary.histogram):
-        lines.append(f"    [{edges[i]:.2f}, {edges[i + 1]:.2f})  {count}")
-    return "\n".join(lines) + "\n", out
+    return "\n".join(lines) + "\n"
 
 
-def _read_csv_rows(text: str, header: str) -> list[list[str]]:
+# command -> (summary, runner, parameters); runners call the library by
+# its module-level names here, so that a tracer can patch them
+COMMANDS = {
+    "analyze": ("summarize a single observation", _analyze, (
+        NORM,
+        Param("--y1", float, "first displacement coordinate", rule=_FINITE),
+        Param("--y2", float, "second displacement coordinate", rule=_FINITE),
+        SIGMA,
+        RADIUS,
+        Param("--level", float, "interval level", "0.90", _UNIT_OPEN),
+        FORMAT._replace(default="text"),
+        OUTPUT,
+    )),
+    "curve": ("tabulate both cumulative curves", _curve, (
+        NORM._replace(default=REQUIRED),
+        SIGMA,
+        Param("--grid", str, "delta grid", "0:12:481", _grid, metavar="LO:HI:N"),
+        FORMAT._replace(default="csv"),
+        OUTPUT,
+    )),
+    "sweep": ("Monte Carlo calibration sweep", _sweep, (
+        DELTA_TRUE._replace(default="1.99"),
+        RADIUS._replace(default="2.00"),
+        Param("--sigma-grid", str, "noise scales", "0.25,0.5,1,2,4,8,16", _sigma_grid,
+              metavar="S1,S2,..."),
+        Param("--n-reps", int, "replicates per sigma", "100000",
+              _rule(lambda v: v >= 1, "must be an integer >= 1")),
+        SEED,
+        Param("--threshold", float, "high-probability threshold", "0.95", _UNIT_OPEN),
+        WORKERS,
+        FORMAT._replace(default="csv"),
+        OUTPUT,
+    )),
+    "pit": ("PIT uniformity diagnostic", _pit, (
+        DELTA_TRUE,
+        SIGMA,
+        RADIUS,
+        Param("--n", int, "number of draws, at least 100", "100000",
+              _rule(lambda v: v >= 100, "must be an integer >= 100")),
+        SEED,
+        WORKERS,
+        FORMAT._replace(default="text"),
+        OUTPUT,
+    )),
+}
+
+
+def _read_csv(text: str, header: str, kind: str, casts: list[Callable[[str], object]]) -> list:
+    """The rows of a CSV table written by this CLI, each cell cast by column."""
     lines = text.splitlines()
     if not lines or lines[0] != header:
-        got = lines[0] if lines else ""
-        raise UsageError(f"unexpected CSV header {got!r}")
-    return [line.split(",") for line in lines[1:] if line]
+        raise UsageError(f"unexpected CSV header {(lines or [''])[0]!r}")
+    rows = []
+    for line in filter(None, lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(casts):
+            raise UsageError(f"{kind} CSV rows must have {len(casts)} columns")
+        try:
+            rows.append([cast(cell) for cast, cell in zip(casts, cells)])
+        except ValueError as exc:
+            raise UsageError(f"{kind} CSV row {line!r} is malformed: {exc}")
+    return rows
 
 
 def read_curve_csv(text: str) -> CurveTable:
     """Parse cmd_curve CSV output back into a CurveTable."""
-    rows = _read_csv_rows(text, CURVE_HEADER)
-    data = np.array([[float(cell) for cell in row] for row in rows])
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise UsageError("curve CSV rows must have 5 columns")
-    return CurveTable(
-        delta=data[:, 0], b=data[:, 1], c=data[:, 2], cc=data[:, 3], cred=data[:, 4]
-    )
+    rows = _read_csv(text, CURVE_HEADER, "curve", [float] * 5)
+    if not rows:
+        raise UsageError("curve CSV has no rows")
+    return CurveTable(*np.array(rows).T)
 
 
 def read_sweep_csv(text: str) -> list[CalibrationRow]:
@@ -459,53 +394,32 @@ def read_sweep_csv(text: str) -> list[CalibrationRow]:
     The pinned CSV schema omits the frequency standard errors, so those
     two fields come back as NaN.
     """
-    rows = []
-    for parts in _read_csv_rows(text, SWEEP_HEADER):
-        if len(parts) != 11:
-            raise UsageError("sweep CSV rows must have 11 columns")
-        values = [float(cell) for cell in parts]
-        rows.append(
-            CalibrationRow(
-                *values, stderr_freq_bayes=float("nan"), stderr_freq_cd=float("nan")
-            )
-        )
-    return rows
+    return [
+        CalibrationRow(*values, stderr_freq_bayes=math.nan, stderr_freq_cd=math.nan)
+        for values in _read_csv(text, SWEEP_HEADER, "sweep", [float] * 11)
+    ]
 
 
 def read_pit_csv(text: str) -> list[tuple[float, float, int]]:
     """Parse cmd_pit histogram CSV into (bin_lo, bin_hi, count) rows."""
-    rows = []
-    for parts in _read_csv_rows(text, PIT_HEADER):
-        if len(parts) != 3:
-            raise UsageError("pit CSV rows must have 3 columns")
-        rows.append((float(parts[0]), float(parts[1]), int(parts[2])))
-    return rows
+    return [tuple(row) for row in _read_csv(text, PIT_HEADER, "pit", [float, float, int])]
 
 
 def read_analyze_csv(text: str) -> dict:
     """Parse cmd_analyze CSV output into a field dict."""
-    rows = _read_csv_rows(text, ANALYZE_HEADER)
+    keys = ANALYZE_HEADER.split(",")
+    flags = ("_at_boundary", "_clipped")
+    casts = [(lambda cell: cell == "true") if key.endswith(flags) else float for key in keys]
+    rows = _read_csv(text, ANALYZE_HEADER, "analyze", casts)
     if len(rows) != 1:
         raise UsageError("expected exactly one analyze CSV row")
-    keys = ANALYZE_HEADER.split(",")
-    if len(rows[0]) != len(keys):
-        raise UsageError(f"analyze CSV rows must have {len(keys)} columns")
-    out = {}
-    for key, cell in zip(keys, rows[0]):
-        if key.endswith("_at_boundary") or key.endswith("_clipped"):
-            out[key] = cell == "true"
-        else:
-            out[key] = float(cell)
-    return out
+    return dict(zip(keys, rows[0]))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default=None,
-                        help="output format (default depends on the command)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write to this file instead of stdout")
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="flat key = value file supplying parameter defaults")
+def _help(p: Param) -> str:
+    if p.default is REQUIRED:
+        return f"{p.help} (required)"
+    return p.help if p.default is None else f"{p.help} (default {p.default})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -515,61 +429,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "versus confidence distribution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="summarize a single observation")
-    analyze.add_argument("--norm", type=float, help="observed displacement norm |y|")
-    analyze.add_argument("--y1", type=float, help="first displacement coordinate")
-    analyze.add_argument("--y2", type=float, help="second displacement coordinate")
-    analyze.add_argument("--sigma", type=float, help="per-coordinate noise scale")
-    analyze.add_argument("--radius", type=float, help="collision radius R")
-    analyze.add_argument("--level", type=float, help="interval level (default 0.90)")
-    _add_common(analyze)
-
-    curve = sub.add_parser("curve", help="tabulate both cumulative curves")
-    curve.add_argument("--norm", type=float, help="observed displacement norm |y|")
-    curve.add_argument("--sigma", type=float, help="per-coordinate noise scale")
-    curve.add_argument("--grid", type=str, metavar="LO:HI:N",
-                       help=f"delta grid (default {DEFAULT_GRID_SPEC})")
-    _add_common(curve)
-
-    sweep = sub.add_parser("sweep", help="Monte Carlo calibration sweep")
-    sweep.add_argument("--delta-true", type=float, help="true distance (default 1.99)")
-    sweep.add_argument("--radius", type=float, help="collision radius R (default 2.00)")
-    sweep.add_argument("--sigma-grid", type=str, metavar="S1,S2,...",
-                       help="noise scales (default 0.25,0.5,1,2,4,8,16)")
-    sweep.add_argument("--n-reps", type=int, help="replicates per sigma (default 100000)")
-    sweep.add_argument("--seed", type=int, help="base seed (default 1)")
-    sweep.add_argument("--threshold", type=float,
-                       help="high-probability threshold (default 0.95)")
-    sweep.add_argument("--workers", type=int, help="draw-loop threads (default 1)")
-    _add_common(sweep)
-
-    pit = sub.add_parser("pit", help="PIT uniformity diagnostic")
-    pit.add_argument("--delta-true", type=float, help="true distance")
-    pit.add_argument("--sigma", type=float, help="per-coordinate noise scale")
-    pit.add_argument("--radius", type=float, help="collision radius R")
-    pit.add_argument("--n", type=int, help="number of draws (default 100000, min 100)")
-    pit.add_argument("--seed", type=int, help="base seed (default 1)")
-    pit.add_argument("--workers", type=int, help="draw-loop threads (default 1)")
-    _add_common(pit)
-
+    for name, (summary, _, params) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for p in params:
+            command.add_argument(p.flag, type=p.cast, choices=p.choices, metavar=p.metavar,
+                                 help=_help(p))
+        command.add_argument("--config", metavar="FILE",
+                             help="flat key = value file supplying parameter defaults")
     return parser
-
-
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "curve": _run_curve,
-    "sweep": _run_sweep_cmd,
-    "pit": _run_pit,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _, run, params = COMMANDS[args.command]
     try:
         cfg = _load_config(args.config) if args.config else {}
-        text, out_path = _RUNNERS[args.command](args, cfg)
-        _write_output(text, out_path)
+        values = _resolve(params, args, cfg)
+        _write_output(run(values), values.output)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,10 +23,14 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .specfun import (
-    ConvergenceError,
     DomainError,
     invert_monotone,
     noncentral_chisq2_cdf,
+    require_finite,
+    require_nonnegative,
+    require_open_unit,
+    require_positive,
+    upper_bracket,
 )
 
 __all__ = [
@@ -65,46 +69,50 @@ class Observation:
     sigma: float
 
     def __post_init__(self) -> None:
-        for name in ("y1", "y2", "sigma"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        object.__setattr__(self, "y1", require_finite("y1", self.y1))
+        object.__setattr__(self, "y2", require_finite("y2", self.y2))
+        object.__setattr__(self, "sigma", require_positive("sigma", self.sigma))
 
     @classmethod
     def from_norm(cls, norm: float, sigma: float) -> "Observation":
-        norm = float(norm)
-        if not math.isfinite(norm) or norm < 0.0:
-            raise DomainError(f"norm must be finite and nonnegative, got {norm!r}")
-        return cls(norm, 0.0, sigma)
+        return cls(require_nonnegative("norm", norm), 0.0, sigma)
 
     @property
     def norm(self) -> float:
         return math.hypot(self.y1, self.y2)
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise DomainError(f"delta must be finite and nonnegative, got {delta!r}")
-    return delta
+def _squared_ratios(obs: Observation, delta: float) -> tuple[float, float]:
+    """(delta/sigma)^2 and (|y|/sigma)^2, the two G2 arguments of B and C.
+
+    Raises DomainError when either leaves float range (overflow to inf,
+    or sigma^2 underflowing to 0).
+    """
+    delta = require_nonnegative("delta", delta)
+    s2 = obs.sigma * obs.sigma
+    try:
+        d2, y2 = delta * delta / s2, obs.norm ** 2 / s2
+    except (OverflowError, ZeroDivisionError):
+        d2 = y2 = math.inf
+    if not (math.isfinite(d2) and math.isfinite(y2)):
+        raise DomainError(
+            f"(delta/sigma)^2 and (|y|/sigma)^2 must stay finite, got delta={delta!r}, "
+            f"|y|={obs.norm!r}, sigma={obs.sigma!r}"
+        )
+    return d2, y2
 
 
 def bayes_cdf(obs: Observation, delta: float) -> float:
     """Posterior probability that the distance is at most delta."""
-    delta = _check_delta(delta)
-    s2 = obs.sigma * obs.sigma
-    return noncentral_chisq2_cdf(delta * delta / s2, obs.norm ** 2 / s2)
+    d2, y2 = _squared_ratios(obs, delta)
+    return noncentral_chisq2_cdf(d2, y2)
 
 
 def cd_cdf(obs: Observation, delta: float) -> float:
     """Confidence-distribution CDF at delta: one minus the p-value of
     the test that the distance exceeds delta."""
-    delta = _check_delta(delta)
-    s2 = obs.sigma * obs.sigma
-    return 1.0 - noncentral_chisq2_cdf(obs.norm ** 2 / s2, delta * delta / s2)
+    d2, y2 = _squared_ratios(obs, delta)
+    return 1.0 - noncentral_chisq2_cdf(y2, d2)
 
 
 def confidence_curve(obs: Observation, delta: float) -> float:
@@ -131,13 +139,7 @@ def _quantile(obs: Observation, method: Method, p: float) -> float:
     cdf = _cdf_callable(obs, method)
     if cdf(0.0) >= p:
         return 0.0
-    hi = obs.norm + 10.0 * obs.sigma
-    for _ in range(200):
-        if cdf(hi) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"no upper bracket for {method} quantile {p!r}")
+    hi = upper_bracket(cdf, p, obs.norm + 10.0 * obs.sigma, f"{method} quantile {p!r}")
     return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL)
 
 
@@ -172,9 +174,7 @@ def level_interval(obs: Observation, method: Method, level: float) -> LevelInter
     at delta = 0 already exceeds (1 - level)/2 the lower endpoint is
     clipped to 0 and flagged.
     """
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise DomainError(f"level must lie strictly between 0 and 1, got {level!r}")
+    level = require_open_unit("level", level)
     p_lo = 0.5 * (1.0 - level)
     p_hi = 0.5 * (1.0 + level)
     cdf = _cdf_callable(obs, method)
@@ -188,10 +188,7 @@ def level_interval(obs: Observation, method: Method, level: float) -> LevelInter
 
 def collision_confidence(obs: Observation, radius: float) -> float:
     """Confidence assigned to the distance lying within the given radius."""
-    radius = float(radius)
-    if not math.isfinite(radius) or radius <= 0.0:
-        raise DomainError(f"radius must be finite and positive, got {radius!r}")
-    return cd_cdf(obs, radius)
+    return cd_cdf(obs, require_positive("radius", radius))
 
 
 def noncollision_pvalue(obs: Observation, radius: float) -> float:

@@ -46,11 +46,46 @@ _PROB_SLACK = 1e-9
 _I0_SERIES_LIMIT = 50.0
 
 
-def _require_nonnegative(name: str, value: float) -> float:
+# Argument checks shared by every module: each returns the value as a
+# float (or int) and raises DomainError naming the argument otherwise.
+
+
+def require_finite(name: str, value: float) -> float:
     value = float(value)
-    if math.isnan(value) or math.isinf(value) or value < 0.0:
-        raise DomainError(f"{name} must be a finite nonnegative number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def require_nonnegative(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def require_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def require_open_unit(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return value
+
+
+def require_count(name: str, value: int, minimum: int) -> int:
+    try:
+        ok = not isinstance(value, bool) and int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False  # int() refuses nan, infinities and non-numbers
+    if not ok:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _i0_power_series(x: float) -> float:
@@ -75,7 +110,7 @@ def bessel_i0(x: float) -> float:
     Relative error <= 1e-12 over the representable range. Overflows (like
     exp does) near x = 713; use bessel_i0_scaled when that matters.
     """
-    x = _require_nonnegative("x", x)
+    x = require_nonnegative("x", x)
     if x <= _I0_SERIES_LIMIT:
         return _i0_power_series(x)
     scaled = bessel_i0_scaled(x)
@@ -92,7 +127,7 @@ def bessel_i0_scaled(x: float) -> float:
     truncated at the smallest term; below that, exp(-x) times the power
     series. Relative error <= 1e-12.
     """
-    x = _require_nonnegative("x", x)
+    x = require_nonnegative("x", x)
     if x <= _I0_SERIES_LIMIT:
         return math.exp(-x) * _i0_power_series(x)
     term = 1.0
@@ -209,8 +244,8 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     Absolute error <= 1e-12; results are clamped to [0, 1] (straying more
     than 1e-9 outside raises ConvergenceError).
     """
-    x = _require_nonnegative("x", x)
-    nu = _require_nonnegative("nu", nu)
+    x = require_nonnegative("x", x)
+    nu = require_nonnegative("nu", nu)
     if x == 0.0:
         return 0.0
     lam = 0.5 * nu
@@ -233,7 +268,7 @@ def _cdf_grid_x(xs: np.ndarray, nu: float) -> np.ndarray:
         return np.zeros(0)
     if not np.all(np.isfinite(xs)) or xs.min() < 0.0:
         raise DomainError("x values must be finite and nonnegative")
-    nu = _require_nonnegative("nu", nu)
+    nu = require_nonnegative("nu", nu)
     lam = 0.5 * nu
     h = 0.5 * xs
     if lam > _EXP_LIMIT or h.max() > _EXP_LIMIT:
@@ -275,7 +310,7 @@ def _cdf_grid_nu(x: float, nus: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     if not np.all(np.isfinite(nus)) or nus.min() < 0.0:
         raise DomainError("nu values must be finite and nonnegative")
-    x = _require_nonnegative("x", x)
+    x = require_nonnegative("x", x)
     if x == 0.0:
         return np.zeros(nus.shape)
     h = 0.5 * x
@@ -306,6 +341,19 @@ def _cdf_grid_nu(x: float, nus: np.ndarray) -> np.ndarray:
         raise ConvergenceError("vector mixture series left [0, 1]")
     np.clip(acc, 0.0, 1.0, out=acc)
     return acc
+
+
+def upper_bracket(
+    f: Callable[[float], float], target: float, start: float, what: str
+) -> float:
+    """First hi = start * 2^k (k < 200) with f(hi) >= target: the upper
+    end of an invert_monotone bracket for a nondecreasing f."""
+    hi = start
+    for _ in range(200):
+        if f(hi) >= target:
+            return hi
+        hi *= 2.0
+    raise ConvergenceError(f"no upper bracket for {what}")
 
 
 def invert_monotone(

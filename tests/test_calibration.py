@@ -203,6 +203,16 @@ class TestPitSample:
         with pytest.raises(DomainError):
             pit_sample(Scenario(2.0, 2.5, 2.0), 99, 1)
 
+    def test_non_integer_counts_raise_domain_error(self):
+        scen = Scenario(2.0, 2.5, 2.0)
+        for bad in (math.inf, math.nan, 100.5, "200", True):
+            with pytest.raises(DomainError, match="n must be an integer >= 100"):
+                pit_sample(scen, bad, 1)
+        with pytest.raises(DomainError):
+            pit_sample(scen, 200, math.inf)
+        with pytest.raises(DomainError):
+            SweepConfig(sigma_grid=(1.0,), n_reps=math.nan, seed=0)
+
     def test_summary_validation(self):
         with pytest.raises(DomainError):
             PitSummary(n=100, ks_stat=0.01, histogram=(5,) * 19, mean_u=0.5)

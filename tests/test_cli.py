@@ -13,6 +13,7 @@ from confdist.cli import (
     CURVE_HEADER,
     PIT_HEADER,
     SWEEP_HEADER,
+    UsageError,
     main,
     read_analyze_csv,
     read_curve_csv,
@@ -98,6 +99,19 @@ class TestAnalyze:
         )
         assert code == 2 and "--level" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--norm", "1e200", "--sigma", "1", "--radius", "1"),
+        ("analyze", "--norm", "1", "--sigma", "1e-200", "--radius", "1"),
+        ("analyze", "--norm", "1", "--sigma", "1", "--radius", "1e300"),
+        ("curve", "--norm", "1e200", "--sigma", "1"),
+        ("curve", "--norm", "1", "--sigma", "1e-200", "--grid", "0:1:3"),
+    ])
+    def test_squared_ratio_overflow_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "delta=" in err and "sigma=" in err
+
 
 class TestCurve:
     def test_default_grid_csv(self, capsys):
@@ -139,6 +153,28 @@ class TestCurve:
         assert set(rows[0]) == {"delta", "B", "C", "cc", "cred"}
         assert rows[-1]["delta"] == 4.0
 
+    def test_text_table(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "curve", "--norm", "5", "--sigma", "2.5", "--grid", "0:4:5", "--format", "text",
+        )
+        assert code == 0
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        assert lines[0].split() == CURVE_HEADER.split(",")
+        # right-aligned columns: every line has the same width
+        assert len({len(line) for line in lines[:-1]}) == 1
+        # C(0) = exp(-|y|^2 / (2 sigma^2)) = exp(-2) and cc = 1 - 2 C(0)
+        assert lines[1].split() == ["0", "0", "0.135335", "0.729329", "1"]
+        assert lines[3].split()[:3] == ["2", "0.0495182", "0.221495"]
+
+    def test_read_rejects_ragged_row(self):
+        text = CURVE_HEADER + "\n0,0,0.1,0.8,1\n1,0.01,0.2\n"
+        with pytest.raises(UsageError, match="5 columns"):
+            read_curve_csv(text)
+        with pytest.raises(UsageError, match="malformed"):
+            read_curve_csv(CURVE_HEADER + "\n0,0,x,0.8,1\n")
+
     def test_malformed_grid(self, capsys):
         for bad in ("0:12", "5:1:10", "0:12:1", "a:b:c", "-1:4:10"):
             code, _, err = run_cli(
@@ -179,6 +215,15 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert len(rows) == 1
         assert list(rows[0]) == SWEEP_HEADER.split(",")
+
+    def test_text_table(self, capsys):
+        argv = ("sweep", "--sigma-grid", "0.5,2", "--n-reps", "300", "--seed", "4")
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0
+        lines = out.rstrip("\n").split("\n")
+        assert lines[0].split() == SWEEP_HEADER.split(",")
+        assert len({len(line) for line in lines}) == 1
+        assert [line.split()[0] for line in lines[1:]] == ["0.5", "2"]
 
     def test_single_replicate(self, capsys):
         code, out, _ = run_cli(
@@ -273,6 +318,12 @@ class TestPit:
         assert code == 0
         assert "NOT consistent" in out
 
+    def test_read_rejects_non_integer_count(self):
+        with pytest.raises(UsageError, match="malformed"):
+            read_pit_csv(PIT_HEADER + "\n0,0.05,12.5\n")
+        with pytest.raises(UsageError, match="3 columns"):
+            read_pit_csv(PIT_HEADER + "\n0,0.05\n")
+
     def test_small_sample_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -352,3 +403,60 @@ class TestConfigAndOutput:
         )
         assert code == 2
         assert "--format" in err
+
+
+def _text_rows(out: str) -> list[list[float]]:
+    return [[float(cell) for cell in line.split()] for line in out.splitlines()[1:]]
+
+
+class TestFormatsCarryTheSameValues:
+    """csv (10 significant digits), json (full floats) and the aligned
+    text table (6 significant digits) render one table three ways."""
+
+    def run_formats(self, capsys, *argv):
+        outputs = {}
+        for fmt in ("csv", "json", "text"):
+            code, outputs[fmt], err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and err == ""
+        return outputs
+
+    def assert_same(self, columns, csv_rows, json_rows, text_rows):
+        assert [list(row) for row in json_rows] == [columns] * len(json_rows)
+        full = [[row[name] for name in columns] for row in json_rows]
+        assert len(csv_rows) == len(full)
+        assert np.allclose(csv_rows, full, rtol=1e-9, atol=0.0)
+        if text_rows is not None:
+            assert np.allclose(text_rows, full, rtol=1e-5, atol=0.0)
+
+    def test_curve(self, capsys):
+        out = self.run_formats(
+            capsys, "curve", "--norm", "5", "--sigma", "2.5", "--grid", "0:12:49"
+        )
+        table = read_curve_csv(out["csv"])
+        csv_rows = np.column_stack((table.delta, table.b, table.c, table.cc, table.cred))
+        self.assert_same(CURVE_HEADER.split(","), csv_rows, json.loads(out["json"])["rows"],
+                         _text_rows(out["text"]))
+
+    def test_sweep(self, capsys):
+        out = self.run_formats(
+            capsys, "sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "300", "--seed", "4"
+        )
+        columns = SWEEP_HEADER.split(",")
+        csv_rows = [[getattr(row, name) for name in columns] for row in read_sweep_csv(out["csv"])]
+        self.assert_same(columns, csv_rows, json.loads(out["json"])["rows"],
+                         _text_rows(out["text"]))
+
+    def test_pit(self, capsys):
+        out = self.run_formats(
+            capsys, "pit", "--delta-true", "1", "--sigma", "2.5", "--radius", "2", "--n", "500"
+        )
+        bins = read_pit_csv(out["csv"])
+        parsed = json.loads(out["json"])
+        self.assert_same(PIT_HEADER.split(","), bins, parsed["histogram"], None)
+        text_bins = [
+            line.strip() for line in out["text"].splitlines() if line.startswith("    [")
+        ]
+        assert text_bins == [f"[{lo:.2f}, {hi:.2f})  {count}" for lo, hi, count in bins]
+        assert [count for _, _, count in bins] == [b["count"] for b in parsed["histogram"]]
+        assert f"n = {parsed['n']}" in out["text"]
+        assert f"ks statistic      = {parsed['ks_stat']:.6g}" in out["text"]

@@ -19,7 +19,7 @@ from confdist import (
     noncollision_pvalue,
     tabulate_curves,
 )
-from confdist.specfun import bessel_i0_scaled
+from confdist.specfun import bessel_i0_scaled, noncentral_chisq2_cdf
 
 # Reference case used throughout: |y| = 5.00, sigma = 2.50, radius = 2.00.
 # Tabulated summary values for it (3-decimal granularity) are 4.29 / 5.61
@@ -100,6 +100,29 @@ class TestCdfs:
                 cd_cdf(obs, bad)
             with pytest.raises(DomainError):
                 bayes_cdf(obs, bad)
+
+    def test_squared_ratios_out_of_float_range(self):
+        # |y|^2 overflows, sigma^2 underflows to 0, delta^2 overflows to inf
+        cases = [
+            (Observation.from_norm(1e200, 1.0), 1.0),
+            (Observation.from_norm(1.0, 1e-200), 1.0),
+            (Observation.from_norm(1.0, 1.0), 1e300),
+        ]
+        for o, delta in cases:
+            for fn in (bayes_cdf, cd_cdf):
+                with pytest.raises(DomainError, match="sigma"):
+                    fn(o, delta)
+        with pytest.raises(DomainError):
+            tabulate_curves(Observation.from_norm(1e200, 1.0), [0.0, 1.0])
+
+    def test_arguments_keep_their_arithmetic(self):
+        # B and C evaluate G2 at exactly delta*delta/s2 and |y|**2/s2
+        for norm, sigma, delta in [(5.0, 2.5, 2.0), (0.3, 0.7, 1.1), (40.0, 0.9, 37.0)]:
+            o = Observation.from_norm(norm, sigma)
+            s2 = sigma * sigma
+            x, nu = delta * delta / s2, norm ** 2 / s2
+            assert bayes_cdf(o, delta) == noncentral_chisq2_cdf(x, nu)
+            assert cd_cdf(o, delta) == 1.0 - noncentral_chisq2_cdf(nu, x)
 
 
 class TestSummaries:

@@ -8,6 +8,7 @@ import pytest
 
 from confdist.specfun import (
     BracketError,
+    ConvergenceError,
     DomainError,
     _cdf_grid_nu,
     _cdf_grid_x,
@@ -15,6 +16,12 @@ from confdist.specfun import (
     bessel_i0_scaled,
     invert_monotone,
     noncentral_chisq2_cdf,
+    require_count,
+    require_finite,
+    require_nonnegative,
+    require_open_unit,
+    require_positive,
+    upper_bracket,
 )
 from oracles import mc_gamma2, mp_g2
 
@@ -245,3 +252,52 @@ class TestInvertMonotone:
     def test_tiny_tolerance_terminates(self):
         got = invert_monotone(lambda v: v * v, 2.0, 0.0, 10.0, tol=1e-300)
         assert abs(got - math.sqrt(2.0)) <= 1e-15
+
+
+class TestUpperBracket:
+    def test_first_doubling_that_reaches_target(self):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return v
+
+        assert upper_bracket(f, 10.0, 1.5, "test") == 12.0
+        assert calls == [1.5, 3.0, 6.0, 12.0]
+        assert upper_bracket(f, 1.0, 1.5, "test") == 1.5
+
+    def test_unreachable_target(self):
+        with pytest.raises(ConvergenceError, match="no upper bracket for test"):
+            upper_bracket(lambda v: 0.0, 1.0, 1.0, "test")
+
+
+class TestArgumentChecks:
+    def test_accepted_values(self):
+        assert require_finite("a", -2) == -2.0
+        assert require_nonnegative("a", 0) == 0.0
+        assert require_positive("a", 3) == 3.0
+        assert require_open_unit("a", 0.25) == 0.25
+        assert require_count("a", 5.0, 1) == 5
+        assert isinstance(require_count("a", np.int64(7), 0), int)
+
+    def test_rejected_values_name_the_argument(self):
+        cases = [
+            (require_finite, (math.nan,)),
+            (require_finite, (-math.inf,)),
+            (require_nonnegative, (-1e-300,)),
+            (require_nonnegative, (math.inf,)),
+            (require_positive, (0.0,)),
+            (require_positive, (math.nan,)),
+            (require_open_unit, (1.0,)),
+            (require_open_unit, (math.nan,)),
+            (require_count, (0, 1)),
+            (require_count, (1.5, 1)),
+            (require_count, (math.inf, 1)),
+            (require_count, (math.nan, 1)),
+            (require_count, (False, 0)),
+            (require_count, ("3", 0)),
+            (require_count, (None, 0)),
+        ]
+        for check, args in cases:
+            with pytest.raises(DomainError, match="^arg "):
+                check("arg", *args)
