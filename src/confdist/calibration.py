@@ -1,17 +1,19 @@
 """Calibration experiments: Monte Carlo sweeps, exact twins, PIT checks.
 
 Replicated observations are drawn from the model y ~ N((delta_true, 0),
-sigma^2 I). Reproducibility contract: replicate r of sigma index s in a
-sweep uses the generator PCG64(SeedSequence(seed, spawn_key=(s, r))), and
-PIT draw i uses spawn_key=(i,). Every replicate owns its substream, so
-results are byte-identical across runs, worker counts, and chunkings;
-reductions always happen in replicate order.
+sigma^2 I). Reproducibility contract: sigma index s of a sweep owns the
+generator PCG64(SeedSequence(seed, spawn_key=(s,))) and a PIT sample owns
+PCG64(SeedSequence(seed, spawn_key=())); replicate r is row r of one
+normal((delta_true, 0), sigma, size=(n, 2)) draw from that generator.
+Results are a pure function of the seed, so they are byte-identical
+across runs and worker counts; reductions happen in replicate order.
+The stream changed once, from one substream per replicate keyed by
+(s, r) or (r,), so samples from before that change differ for a seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,8 +24,7 @@ from .inference import Observation
 from .specfun import (
     ConvergenceError,
     DomainError,
-    _cdf_grid_nu,
-    _cdf_grid_x,
+    _cdf_grid,
     bessel_i0_scaled,
     invert_monotone,
     noncentral_chisq2_cdf,
@@ -145,40 +146,19 @@ def draw_observation(scenario: Scenario, rng: np.random.Generator) -> Observatio
     return Observation(float(y1), float(y2), scenario.sigma)
 
 
-def _replicate_rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 def _squared_norm_ratios(
     scenario: Scenario,
     seed: int,
-    key_prefix: tuple[int, ...],
+    key: tuple[int, ...],
     n: int,
-    workers: int,
 ) -> np.ndarray:
-    """z_r = |y_r|^2 / sigma^2 for replicates r = 0..n-1, each drawn from
-    its own substream keyed by key_prefix + (r,)."""
-    out = np.empty(n)
-    s2 = scenario.sigma * scenario.sigma
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            obs = draw_observation(scenario, _replicate_rng(seed, key_prefix + (r,)))
-            out[r] = (obs.y1 * obs.y1 + obs.y2 * obs.y2) / s2
-
-    if workers == 1 or n < 2:
-        fill(0, n)
-        return out
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fill, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return out
+    """z_r = |y_r|^2 / sigma^2 for replicates r = 0..n-1, the rows of one
+    (n, 2) draw from the substream keyed by key."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(n, 2))
+    y1, y2 = y[:, 0], y[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # _cdf_grid rejects inf and nan
+        return (y1 * y1 + y2 * y2) / (scenario.sigma * scenario.sigma)
 
 
 def _ncx2_pdf(z: float, nu: float) -> float:
@@ -261,20 +241,21 @@ def run_sweep(
 
     For each sigma, draws config.n_reps observations, evaluates the
     non-collision probabilities 1 - B(R|Y) and 1 - C(R|Y) per replicate,
-    and summarizes them alongside their exact twins. workers only splits
-    the drawing loop; outputs are identical for any worker count.
+    and summarizes them alongside their exact twins. workers is validated
+    and otherwise ignored: sampling is one vector draw per sigma, so
+    outputs are identical for any worker count.
     """
     delta_true = require_nonnegative("delta_true", delta_true)
     radius = require_positive("radius", radius)
-    workers = require_count("workers", workers, 1)
+    require_count("workers", workers, 1)
     n = config.n_reps
     rows = []
     for s_idx, sigma in enumerate(config.sigma_grid):
         scenario = Scenario(delta_true, sigma, radius)
-        z = _squared_norm_ratios(scenario, config.seed, (s_idx,), n, workers)
+        z = _squared_norm_ratios(scenario, config.seed, (s_idx,), n)
         x0 = (radius / sigma) ** 2
-        noncol_bayes = 1.0 - _cdf_grid_nu(x0, z)
-        noncol_cd = _cdf_grid_x(z, x0)
+        noncol_bayes = 1.0 - _cdf_grid(x0, z)
+        noncol_cd = _cdf_grid(z, x0)
         exact = exact_row(scenario, config.threshold)
         freq_bayes = float(np.count_nonzero(noncol_bayes > config.threshold)) / n
         freq_cd = float(np.count_nonzero(noncol_cd > config.threshold)) / n
@@ -316,14 +297,15 @@ def pit_sample(
     U is uniform on (0, 1) exactly when delta_true equals the radius;
     smaller true distances shift it left, larger ones right. Reports the
     two-sided KS statistic against uniformity, a 20-bin histogram, and the
-    sample mean.
+    sample mean. workers is validated and otherwise ignored, as in
+    run_sweep.
     """
     n = require_count("n", n, 100)
     seed = require_count("seed", seed, 0)
-    workers = require_count("workers", workers, 1)
-    z = _squared_norm_ratios(scenario, seed, (), n, workers)
+    require_count("workers", workers, 1)
+    z = _squared_norm_ratios(scenario, seed, (), n)
     x0 = (scenario.radius / scenario.sigma) ** 2
-    u = _cdf_grid_x(z, x0)
+    u = _cdf_grid(z, x0)
     ranked = np.sort(u)
     steps = np.arange(1, n + 1) / n
     ks = max(float((steps - ranked).max()), float((ranked - steps + 1.0 / n).max()))

@@ -138,7 +138,7 @@ RADIUS = Param("--radius", float, "collision radius R", REQUIRED, _POSITIVE)
 DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED, _NONNEGATIVE)
 SEED = Param("--seed", int, "base seed", "1",
              _rule(lambda v: v >= 0, "must be a nonnegative integer"))
-WORKERS = Param("--workers", int, "draw-loop threads", "1",
+WORKERS = Param("--workers", int, "accepted for compatibility; has no effect", "1",
                 _rule(lambda v: v >= 1, "must be an integer >= 1"))
 OUTPUT = Param("--output", str, "write to this file instead of stdout", metavar="PATH")
 FORMAT = Param("--format", str, "output format", choices=("text", "csv", "json"))

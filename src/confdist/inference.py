@@ -135,12 +135,14 @@ def _cdf_callable(obs: Observation, method: Method) -> Callable[[float], float]:
 
 
 def _quantile(obs: Observation, method: Method, p: float) -> float:
-    # p < 1 guaranteed by callers; the zero atom can cover p by itself
+    # p < 1 guaranteed by callers; the zero atom can cover p by itself.
+    # The tolerance shrinks with the scale |y| + sigma below 1, so roots
+    # stay scale-equivariant however small the inputs are.
     cdf = _cdf_callable(obs, method)
     if cdf(0.0) >= p:
         return 0.0
     hi = upper_bracket(cdf, p, obs.norm + 10.0 * obs.sigma, f"{method} quantile {p!r}")
-    return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL)
+    return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL * min(1.0, obs.norm + obs.sigma))
 
 
 class MedianResult(NamedTuple):

@@ -257,90 +257,49 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     return _as_probability(p, f"noncentral_chisq2_cdf({x!r}, {nu!r})")
 
 
-def _cdf_grid_x(xs: np.ndarray, nu: float) -> np.ndarray:
-    """noncentral_chisq2_cdf at many x values for one noncentrality.
+def _cdf_grid(x, nu) -> np.ndarray:
+    """noncentral_chisq2_cdf broadcast over arrays of x and nu.
 
     Vector twin of the direct series; falls back to the scalar routine
-    per element whenever lam or some x/2 exceeds the no-underflow window.
+    for every element whenever some x/2 or nu/2 exceeds the no-underflow
+    window.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0)
-    if not np.all(np.isfinite(xs)) or xs.min() < 0.0:
-        raise DomainError("x values must be finite and nonnegative")
-    nu = require_nonnegative("nu", nu)
+    x = np.asarray(x, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    shape = np.broadcast_shapes(x.shape, nu.shape)
+    if math.prod(shape) == 0:
+        return np.zeros(shape)
+    for name, values in (("x", x), ("nu", nu)):
+        if not np.all(np.isfinite(values)) or values.min() < 0.0:
+            raise DomainError(f"{name} values must be finite and nonnegative")
     lam = 0.5 * nu
-    h = 0.5 * xs
-    if lam > _EXP_LIMIT or h.max() > _EXP_LIMIT:
-        return np.array([noncentral_chisq2_cdf(float(x), nu) for x in xs])
+    h = 0.5 * x
+    if lam.max() > _EXP_LIMIT or h.max() > _EXP_LIMIT:
+        return np.vectorize(noncentral_chisq2_cdf, otypes=[float])(x, nu)
 
-    w = math.exp(-lam)
-    cumw = w
+    # w and t keep the shapes of nu and x; only acc takes the broadcast one
+    w = np.exp(-lam)
+    cumw = w.copy()
     t = np.exp(-h)
     q = t.copy()
-    g = 1.0 - q
-    acc = w * g
+    acc = w * (1.0 - q)
     k = 0
-    while 1.0 - cumw > _POISSON_TAIL:
+    while 1.0 - cumw.min() > _POISSON_TAIL:
         k += 1
         w *= lam / k
         cumw += w
-        t *= h
-        t /= k
-        q += t
-        np.subtract(1.0, q, out=g)
-        np.maximum(g, 0.0, out=g)
-        if not g.any():
-            break
-        acc += w * g
-        if k > 100000:
-            raise ConvergenceError(f"vector mixture series stalled at nu={nu!r}")
-    bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
-    if bad.any():
-        raise ConvergenceError("vector mixture series left [0, 1]")
-    np.clip(acc, 0.0, 1.0, out=acc)
-    acc[xs == 0.0] = 0.0
-    return acc
-
-
-def _cdf_grid_nu(x: float, nus: np.ndarray) -> np.ndarray:
-    """noncentral_chisq2_cdf at one x for many noncentralities."""
-    nus = np.asarray(nus, dtype=float)
-    if nus.size == 0:
-        return np.zeros(0)
-    if not np.all(np.isfinite(nus)) or nus.min() < 0.0:
-        raise DomainError("nu values must be finite and nonnegative")
-    x = require_nonnegative("x", x)
-    if x == 0.0:
-        return np.zeros(nus.shape)
-    h = 0.5 * x
-    lam = 0.5 * nus
-    if h > _EXP_LIMIT or lam.max() > _EXP_LIMIT:
-        return np.array([noncentral_chisq2_cdf(x, float(v)) for v in nus])
-
-    w = np.exp(-lam)
-    cumw = w.copy()
-    t = math.exp(-h)
-    q = t
-    g = 1.0 - q
-    acc = w * g
-    k = 0
-    while g > 0.0 and cumw.min() < 1.0 - _POISSON_TAIL:
-        k += 1
-        w *= lam
-        w /= k
-        cumw += w
         t *= h / k
         q += t
-        g = max(1.0 - q, 0.0)
+        g = np.maximum(1.0 - q, 0.0)
+        if not g.any():
+            break  # remaining factors vanish at float precision
         acc += w * g
         if k > 100000:
-            raise ConvergenceError(f"vector mixture series stalled at x={x!r}")
+            raise ConvergenceError(f"vector mixture series stalled at nu up to {nu.max()!r}")
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
     if bad.any():
         raise ConvergenceError("vector mixture series left [0, 1]")
-    np.clip(acc, 0.0, 1.0, out=acc)
-    return acc
+    return np.clip(acc, 0.0, 1.0)
 
 
 def upper_bracket(

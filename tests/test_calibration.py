@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from confdist import (
     CalibrationRow,
     DomainError,
+    Observation,
     PitSummary,
     Scenario,
     SweepConfig,
@@ -220,6 +222,48 @@ class TestPitSample:
             PitSummary(n=100, ks_stat=0.01, histogram=(4,) * 20, mean_u=0.5)
 
 
+def _documented_stream(scen: Scenario, seed: int, key: tuple[int, ...], n: int):
+    # replicate r is row r of one (n, 2) normal draw from the substream
+    # PCG64(SeedSequence(seed, spawn_key=key)), as the module docstring states
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    y = rng.normal((scen.delta_true, 0.0), scen.sigma, size=(n, 2))
+    return [Observation(float(y1), float(y2), scen.sigma) for y1, y2 in y]
+
+
+class TestSamplingContract:
+    def test_pit_recomputed_from_documented_stream(self):
+        scen = Scenario(2.0, 2.5, 2.0)
+        summary = pit_sample(scen, 200, 7)
+        draws = _documented_stream(scen, 7, (), 200)
+        u = np.array([noncollision_pvalue(o, scen.radius) for o in draws])
+        counts = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+        assert summary.histogram == tuple(int(c) for c in counts)
+        assert abs(summary.mean_u - u.mean()) <= 1e-12
+
+    def test_sweep_rows_recomputed_from_documented_stream(self):
+        cfg = SweepConfig(sigma_grid=(0.5, 2.0), n_reps=300, seed=7)
+        for s_idx, row in enumerate(run_sweep(1.99, 2.0, cfg)):
+            scen = Scenario(1.99, row.sigma, 2.0)
+            draws = _documented_stream(scen, 7, (s_idx,), 300)
+            noncol_cd = np.array([noncollision_pvalue(o, 2.0) for o in draws])
+            noncol_bayes = np.array([1.0 - bayes_cdf(o, 2.0) for o in draws])
+            assert abs(row.mean_cd - noncol_cd.mean()) <= 1e-12
+            assert abs(row.mean_bayes - noncol_bayes.mean()) <= 1e-12
+            assert row.freq_cd == np.count_nonzero(noncol_cd > cfg.threshold) / 300
+            assert row.freq_bayes == np.count_nonzero(noncol_bayes > cfg.threshold) / 300
+
+    def test_workers_start_no_thread(self, monkeypatch):
+        cfg = SweepConfig(sigma_grid=(0.5, 2.0), n_reps=500, seed=3)
+        scen = Scenario(2.0, 2.5, 2.0)
+        base = (run_sweep(1.99, 2.0, cfg), pit_sample(scen, 500, 3))
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert (run_sweep(1.99, 2.0, cfg, workers=4), pit_sample(scen, 500, 3, workers=4)) == base
+
+
 class TestAgainstIndependentResampling:
     def test_rotated_draws_match_exact_row(self):
         # Regression oracle bypassing the sweep machinery: raw numpy draws
@@ -232,8 +276,6 @@ class TestAgainstIndependentResampling:
         y = rng.normal(center, sigma, size=(n, 2))
         noncol_cd = np.empty(n)
         noncol_bayes = np.empty(n)
-        from confdist import Observation
-
         for i in range(n):
             o = Observation(float(y[i, 0]), float(y[i, 1]), sigma)
             noncol_cd[i] = noncollision_pvalue(o, radius)

@@ -262,6 +262,17 @@ class TestStructuralDominance:
             assert abs(cd_cdf(base, delta) - cd_cdf(scaled, scale * delta)) <= 1e-12
             assert abs(bayes_cdf(base, delta) - bayes_cdf(scaled, scale * delta)) <= 1e-12
 
+    def test_roots_scale_equivariant_at_tiny_scales(self):
+        # the reference case shrunk far below the absolute root tolerance
+        def roots(k):
+            o = Observation.from_norm(5.0 * k, 2.5 * k)
+            iv = level_interval(o, "cd", 0.90)
+            return [median(o, "bayes").value / k, median(o, "cd").value / k, iv.lo / k, iv.hi / k]
+
+        want = roots(1.0)
+        for k in (1e-12, 1e-60, 1e-150):
+            assert roots(k) == pytest.approx(want, rel=1e-9)
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

@@ -10,8 +10,7 @@ from confdist.specfun import (
     BracketError,
     ConvergenceError,
     DomainError,
-    _cdf_grid_nu,
-    _cdf_grid_x,
+    _cdf_grid,
     bessel_i0,
     bessel_i0_scaled,
     invert_monotone,
@@ -185,7 +184,7 @@ class TestVectorHelpers:
         rng = np.random.default_rng(3)
         xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 140.0, size=300))])
         for nu in (0.0, 0.64, 4.0, 63.36):
-            got = _cdf_grid_x(xs, nu)
+            got = _cdf_grid(xs, nu)
             want = np.array([noncentral_chisq2_cdf(float(x), nu) for x in xs])
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -193,27 +192,35 @@ class TestVectorHelpers:
         rng = np.random.default_rng(4)
         nus = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 140.0, size=300))])
         for x in (0.015625, 0.64, 16.0, 64.0):
-            got = _cdf_grid_nu(x, nus)
+            got = _cdf_grid(x, nus)
             want = np.array([noncentral_chisq2_cdf(x, float(nu)) for nu in nus])
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fallback_paths_equal_scalar_exactly(self):
         xs = np.array([100.0, 1500.0, 2000.0])
-        got = _cdf_grid_x(xs, 1450.0)
+        got = _cdf_grid(xs, 1450.0)
         want = np.array([noncentral_chisq2_cdf(float(x), 1450.0) for x in xs])
         assert np.array_equal(got, want)
         nus = np.array([0.0, 1450.0, 4000.0])
-        got = _cdf_grid_nu(1500.0, nus)
+        got = _cdf_grid(1500.0, nus)
         want = np.array([noncentral_chisq2_cdf(1500.0, float(nu)) for nu in nus])
         assert np.array_equal(got, want)
 
     def test_empty_and_invalid_inputs(self):
-        assert _cdf_grid_x(np.array([]), 1.0).size == 0
-        assert _cdf_grid_nu(1.0, np.array([])).size == 0
+        assert _cdf_grid(np.array([]), 1.0).size == 0
+        assert _cdf_grid(1.0, np.array([])).size == 0
         with pytest.raises(DomainError):
-            _cdf_grid_x(np.array([-1.0]), 1.0)
+            _cdf_grid(np.array([-1.0]), 1.0)
         with pytest.raises(DomainError):
-            _cdf_grid_nu(1.0, np.array([math.nan]))
+            _cdf_grid(1.0, np.array([math.nan]))
+
+    def test_outer_grid_matches_scalar(self):
+        xs = np.array([0.0, 0.015625, 0.64, 4.0, 16.0, 63.36, 140.0])
+        nus = np.array([0.0, 0.64, 4.0, 25.0, 63.36, 140.0])
+        got = _cdf_grid(xs[:, None], nus[None, :])
+        want = np.array([[noncentral_chisq2_cdf(x, nu) for nu in nus] for x in xs])
+        assert got.shape == (xs.size, nus.size)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestInvertMonotone:
