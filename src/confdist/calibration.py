@@ -157,8 +157,14 @@ def _squared_norm_ratios(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
     y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(n, 2))
     y1, y2 = y[:, 0], y[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # _cdf_grid rejects inf and nan
-        return (y1 * y1 + y2 * y2) / (scenario.sigma * scenario.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        z = (y1 * y1 + y2 * y2) / (scenario.sigma * scenario.sigma)
+    if not np.all(np.isfinite(z)):
+        raise DomainError(
+            f"|y|^2/sigma^2 must stay finite, got sigma={scenario.sigma!r}, "
+            f"delta_true={scenario.delta_true!r}"
+        )
+    return z
 
 
 def _ncx2_pdf(z: float, nu: float) -> float:

@@ -2,8 +2,10 @@
 
 Self-contained implementations of the modified Bessel function I0, the
 noncentral chi-square CDF with 2 degrees of freedom, and a bisection-based
-inverter for monotone CDFs. Everything here is deterministic pure-float
-arithmetic; the accuracy contracts are stated per function.
+inverter for monotone CDFs. Everything here is deterministic: plain float
+arithmetic on the small-argument series and numpy sums over whole arrays
+of terms on the large-argument window and the vector grid. The accuracy
+contracts are stated per function.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ _POISSON_TAIL = 1e-14
 _PROB_SLACK = 1e-9
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
+# terms per numpy block of the large-argument window; bounds its memory
+_WINDOW_BLOCK = 1 << 16
+# log(k!) for k < 30, where Stirling's series is not accurate enough
+_LGAMMA_BELOW_30 = np.array([math.lgamma(k + 1.0) for k in range(30)])
 
 
 # Argument checks shared by every module: each returns the value as a
@@ -143,17 +149,21 @@ def bessel_i0_scaled(x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _poisson_logpmf(k: int, mean: float) -> float:
-    # Near k ~ mean the naive form -mean + k log(mean) - lgamma(k+1) loses
-    # ~ eps * k log(mean) absolutely to cancellation; expanding lgamma by
-    # Stirling keeps the log accurate to ~1e-13 for any magnitude.
-    if k == 0:
-        return -mean
-    if k < 30:
-        return -mean + k * math.log(mean) - math.lgamma(k + 1.0)
-    core = k * math.log1p((mean - k) / k) + (k - mean)
-    corr = 1.0 / (12.0 * k) - 1.0 / (360.0 * k ** 3) + 1.0 / (1260.0 * k ** 5)
-    return core - 0.5 * math.log(2.0 * math.pi * k) - corr
+def _poisson_logpmf(k: np.ndarray, mean: float) -> np.ndarray:
+    # log Poisson(k; mean) for an integer-valued float array k >= 0 and
+    # mean > 0. Near k ~ mean the naive form -mean + k log(mean) - lgamma(k+1)
+    # loses ~ eps * k log(mean) absolutely to cancellation; expanding lgamma
+    # by Stirling keeps the log accurate to ~1e-13 for any magnitude.
+    kk = np.maximum(k, 30.0)
+    r2 = 1.0 / (kk * kk)
+    corr = (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)) / kk
+    core = kk * np.log1p((mean - kk) / kk) + (kk - mean)
+    out = core - 0.5 * np.log(2.0 * math.pi * kk) - corr
+    small = k < 30.0
+    if small.any():
+        ks = k[small]
+        out[small] = -mean + ks * math.log(mean) - _LGAMMA_BELOW_30[ks.astype(np.intp)]
+    return out
 
 
 def _as_probability(p: float, context: str) -> float:
@@ -194,17 +204,13 @@ def _cdf_series_direct(lam: float, h: float) -> float:
 
 
 def _cdf_series_pivoted(lam: float, h: float) -> float:
-    # Large-argument path: sweep Poisson(lam) weights over the +/- 9 sigma
-    # window around the mean, initialized in log space, and stream the
-    # Poisson(h) CDF the same way. Tail masses outside the windows are
-    # < 2e-18 each (Bernstein), so classification shortcuts are exact to
-    # well under the 1e-12 absolute contract.
-    if lam > _EXP_LIMIT:
-        k_lo = max(0, int(lam - 9.0 * math.sqrt(lam) - 10.0))
-        w = math.exp(_poisson_logpmf(k_lo, lam))
-    else:
-        k_lo = 0
-        w = math.exp(-lam)
+    # Large-argument path: the mixture over the +/- 9 sigma window of
+    # Poisson(lam) around its mean, each weight exp(log pmf), against a
+    # running Poisson(h) CDF that starts at j0, also 10 sigma below its
+    # mean. Tail masses outside the windows are < 2e-18 each (Bernstein),
+    # so classification shortcuts are exact to well under the 1e-12
+    # absolute contract. Blocks of _WINDOW_BLOCK terms bound the memory.
+    k_lo = max(0, int(lam - 9.0 * math.sqrt(lam) - 10.0)) if lam > _EXP_LIMIT else 0
     k_hi = int(lam + 9.0 * math.sqrt(lam) + 30.0) + 10
 
     g_lo_edge = h - 9.0 * math.sqrt(h) - 10.0  # below: central CDF ~ 1
@@ -214,22 +220,21 @@ def _cdf_series_pivoted(lam: float, h: float) -> float:
     if k_hi < g_lo_edge:
         return 1.0
 
-    j = max(0, int(g_lo_edge) - int(math.sqrt(h)) - 10)
-    q = 0.0
+    j0 = max(0, int(g_lo_edge) - int(math.sqrt(h)) - 10)
+    q = 0.0  # Poisson(h) CDF from j0 up to the previous k
+    for start in range(j0, k_lo, _WINDOW_BLOCK):
+        j = np.arange(start, min(start + _WINDOW_BLOCK, k_lo), dtype=float)
+        q += float(np.exp(_poisson_logpmf(j, h)).sum())
     acc = 0.0
-    cumw = 0.0
-    for k in range(k_lo, k_hi + 1):
-        while j <= k:
-            q += math.exp(_poisson_logpmf(j, h))  # underflows harmlessly far out
-            j += 1
-        g = 1.0 - q
-        if g <= 0.0:
-            break
-        acc += w * g
-        cumw += w
-        if 1.0 - cumw <= _POISSON_TAIL:
-            break
-        w *= lam / (k + 1)
+    for start in range(k_lo, k_hi + 1, _WINDOW_BLOCK):
+        k = np.arange(start, min(start + _WINDOW_BLOCK, k_hi + 1), dtype=float)
+        t = np.exp(_poisson_logpmf(k, h))  # underflows harmlessly far out
+        t[: max(0, j0 - start)] = 0.0  # the CDF starts at j0
+        cdf = q + np.cumsum(t)
+        acc += float(np.dot(np.exp(_poisson_logpmf(k, lam)), np.maximum(1.0 - cdf, 0.0)))
+        q = float(cdf[-1])
+        if q >= 1.0:
+            break  # remaining factors vanish at float precision
     return acc
 
 
@@ -237,10 +242,12 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     """CDF of the noncentral chi-square law with 2 df and noncentrality nu.
 
     Evaluates the Poisson mixture
-        sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2,
-    truncating once the unaccounted Poisson weight falls below 1e-14.
-    Recurrences run in ordinary arithmetic while lam and x/2 stay below 700
-    and switch to a log-space sweep around the Poisson mode beyond that.
+        sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2.
+    While lam and x/2 stay below 700, recurrences from k = 0 run in
+    ordinary arithmetic until the unaccounted Poisson weight falls below
+    1e-14. Beyond that, the sum runs over the +/- 9 sigma window around
+    the Poisson mode as numpy arrays, each weight the exp of its log pmf,
+    in blocks of 2^16 terms so that memory stays bounded at any nu.
     Absolute error <= 1e-12; results are clamped to [0, 1] (straying more
     than 1e-9 outside raises ConvergenceError).
     """

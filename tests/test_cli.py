@@ -334,6 +334,20 @@ class TestPit:
         assert "--n" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--sigma-grid", "1e200", "--n-reps", "10"),
+    ("sweep", "--sigma-grid", "1,1e154", "--n-reps", "10"),
+    ("pit", "--delta-true", "2", "--sigma", "1e200", "--radius", "2", "--n", "100"),
+])
+def test_overflowing_sigma_is_named(capsys, argv):
+    # |y|^2 overflows although every ratio the run needs is finite; the
+    # message names the inputs, not the internal grid arguments
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sigma=1e+" in err and "delta_true=" in err
+
+
 class TestConfigAndOutput:
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

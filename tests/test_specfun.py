@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from confdist import specfun
 from confdist.specfun import (
     BracketError,
     ConvergenceError,
@@ -22,7 +24,7 @@ from confdist.specfun import (
     require_positive,
     upper_bracket,
 )
-from oracles import mc_gamma2, mp_g2
+from oracles import mc_gamma2, mp_g2, rice_g2
 
 # Frozen oracle values. Each was computed from an independent route
 # (40-digit power series, asymptotic expansion, Monte Carlo, closed forms)
@@ -43,6 +45,27 @@ LARGE_ANCHORS = [
     (200.0, 1800.0, 0.0),
     (4000.0, 200.0, 1.0),
 ]
+
+# Points near sqrt(x) = sqrt(nu) from nu = 1e4 to 1e10, checked against the
+# Rice-integral oracle; the windows from nu = 1e8 up span several blocks.
+RICE_GRID = [
+    (1e4, 1e4),
+    (1.02e4, 1e4),
+    (2.25e4, 2.24e4),
+    (1e5, 1.001e5),
+    (1e6, 1.002e6),
+    (1e6, 0.998e6),
+    (1e7, 1e7),
+    (1e8, 9.999e7),
+    (1e8, 1.0001e8),
+    (1e9, 1.00003e9),
+    (1e10, 1e10),
+]
+
+
+@pytest.fixture(scope="module")
+def rice_grid():
+    return {point: rice_g2(*point) for point in RICE_GRID}
 
 
 def mp_i0_series(x: float, terms: int = 400) -> float:
@@ -177,6 +200,51 @@ class TestNoncentralChisq2Cdf:
                 noncentral_chisq2_cdf(bad, 1.0)
             with pytest.raises(DomainError):
                 noncentral_chisq2_cdf(1.0, bad)
+
+
+class TestLargeArgumentWindow:
+    def test_rice_oracle_agrees_with_mixture_oracle_and_anchors(self):
+        for x, nu in ((4.0, 0.64), (1.2, 3.4), (30.0, 25.0)):
+            assert abs(rice_g2(x, nu) - mp_g2(x, nu)) <= 1e-15, (x, nu)
+        for x, nu, want in LARGE_ANCHORS:
+            assert abs(rice_g2(x, nu) - want) <= 1e-15, (x, nu)
+
+    def test_matches_rice_oracle_up_to_1e10(self, rice_grid):
+        errors = {p: noncentral_chisq2_cdf(*p) - want for p, want in rice_grid.items()}
+        assert max(abs(e) for e in errors.values()) <= 1e-12, errors
+        # the +/- 9 sigma window of Poisson(nu/2) at the largest point
+        # covers many blocks, so the carry between blocks is checked too
+        lam = 0.5 * max(nu for _, nu in RICE_GRID)
+        assert 18.0 * math.sqrt(lam) > 10 * specfun._WINDOW_BLOCK
+
+    def test_block_size_does_not_change_the_sum(self, monkeypatch, rice_grid):
+        # cases: h > lam (CDF start inside the first block), h < lam (CDF
+        # carried in before the window), lam <= 700 < h (window from k = 0)
+        points = [(1500.0, 1450.0), (1300.0, 1500.0), (1500.0, 1300.0),
+                  (1e4, 1e4), (1.02e4, 1e4), (1e6, 1.002e6), (1e6, 0.998e6)]
+        whole = [noncentral_chisq2_cdf(*p) for p in points]
+        monkeypatch.setattr(specfun, "_WINDOW_BLOCK", 61)
+        for p, want in zip(points, whole):
+            got = noncentral_chisq2_cdf(*p)
+            assert abs(got - want) <= 1e-14, p
+            oracle = rice_grid[p] if p in rice_grid else rice_g2(*p)
+            assert abs(got - oracle) <= 1e-12, p
+
+    def test_memory_stays_bounded_at_huge_nu(self):
+        tracemalloc.start()
+        try:
+            value = noncentral_chisq2_cdf(1e10, 1e10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.49 < value < 0.51
+        assert peak < 8e6
+
+    def test_window_edges_return_exact_values(self):
+        cases = [((2000.0, 0.0), 1.0), ((1500.0, 1e-300), 1.0), ((1e-300, 2000.0), 0.0),
+                 ((5e-324, 2000.0), 0.0), ((1402.0, 3.0), 1.0), ((3.0, 1500.0), 0.0)]
+        for args, want in cases:
+            assert noncentral_chisq2_cdf(*args) == want, args
 
 
 class TestVectorHelpers:
