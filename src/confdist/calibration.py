@@ -32,6 +32,7 @@ from .specfun import (
     require_nonnegative,
     require_open_unit,
     require_positive,
+    require_squared_ratio,
     upper_bracket,
 )
 
@@ -152,19 +153,13 @@ def _squared_norm_ratios(
     key: tuple[int, ...],
     n: int,
 ) -> np.ndarray:
-    """z_r = |y_r|^2 / sigma^2 for replicates r = 0..n-1, the rows of one
-    (n, 2) draw from the substream keyed by key."""
+    """z_r = (|y_r|/sigma)^2 for replicates r = 0..n-1, the rows of one
+    (n, 2) draw from the substream keyed by key; |y_r| is formed as
+    Observation.norm forms it."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
     y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(n, 2))
-    y1, y2 = y[:, 0], y[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        z = (y1 * y1 + y2 * y2) / (scenario.sigma * scenario.sigma)
-    if not np.all(np.isfinite(z)):
-        raise DomainError(
-            f"|y|^2/sigma^2 must stay finite, got sigma={scenario.sigma!r}, "
-            f"delta_true={scenario.delta_true!r}"
-        )
-    return z
+    norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, n)
+    return require_squared_ratio("|y|", norm, scenario.sigma, delta_true=scenario.delta_true)
 
 
 def _ncx2_pdf(z: float, nu: float) -> float:
@@ -201,8 +196,8 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     """
     threshold = require_open_unit("threshold", threshold)
     sigma = scenario.sigma
-    nu0 = (scenario.delta_true / sigma) ** 2
-    x0 = (scenario.radius / sigma) ** 2
+    nu0 = require_squared_ratio("delta_true", scenario.delta_true, sigma)
+    x0 = require_squared_ratio("radius", scenario.radius, sigma)
 
     cutoff = _upper_quantile(nu0, 1.0 - _QUAD_TAIL)
     mean_bayes = _integrate(
@@ -259,7 +254,7 @@ def run_sweep(
     for s_idx, sigma in enumerate(config.sigma_grid):
         scenario = Scenario(delta_true, sigma, radius)
         z = _squared_norm_ratios(scenario, config.seed, (s_idx,), n)
-        x0 = (radius / sigma) ** 2
+        x0 = require_squared_ratio("radius", radius, sigma)
         noncol_bayes = 1.0 - _cdf_grid(x0, z)
         noncol_cd = _cdf_grid(z, x0)
         exact = exact_row(scenario, config.threshold)
@@ -310,7 +305,7 @@ def pit_sample(
     seed = require_count("seed", seed, 0)
     require_count("workers", workers, 1)
     z = _squared_norm_ratios(scenario, seed, (), n)
-    x0 = (scenario.radius / scenario.sigma) ** 2
+    x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
     u = _cdf_grid(z, x0)
     ranked = np.sort(u)
     steps = np.arange(1, n + 1) / n

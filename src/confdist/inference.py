@@ -30,6 +30,7 @@ from .specfun import (
     require_nonnegative,
     require_open_unit,
     require_positive,
+    require_squared_ratio,
     upper_bracket,
 )
 
@@ -83,23 +84,12 @@ class Observation:
 
 
 def _squared_ratios(obs: Observation, delta: float) -> tuple[float, float]:
-    """(delta/sigma)^2 and (|y|/sigma)^2, the two G2 arguments of B and C.
-
-    Raises DomainError when either leaves float range (overflow to inf,
-    or sigma^2 underflowing to 0).
-    """
+    """(delta/sigma)^2 and (|y|/sigma)^2, the two G2 arguments of B and C."""
     delta = require_nonnegative("delta", delta)
-    s2 = obs.sigma * obs.sigma
-    try:
-        d2, y2 = delta * delta / s2, obs.norm ** 2 / s2
-    except (OverflowError, ZeroDivisionError):
-        d2 = y2 = math.inf
-    if not (math.isfinite(d2) and math.isfinite(y2)):
-        raise DomainError(
-            f"(delta/sigma)^2 and (|y|/sigma)^2 must stay finite, got delta={delta!r}, "
-            f"|y|={obs.norm!r}, sigma={obs.sigma!r}"
-        )
-    return d2, y2
+    return (
+        require_squared_ratio("delta", delta, obs.sigma),
+        require_squared_ratio("|y|", obs.norm, obs.sigma, delta=delta),
+    )
 
 
 def bayes_cdf(obs: Observation, delta: float) -> float:
@@ -134,15 +124,16 @@ def _cdf_callable(obs: Observation, method: Method) -> Callable[[float], float]:
     raise DomainError(f"method must be 'bayes' or 'cd', got {method!r}")
 
 
-def _quantile(obs: Observation, method: Method, p: float) -> float:
-    # p < 1 guaranteed by callers; the zero atom can cover p by itself.
-    # The tolerance shrinks with the scale |y| + sigma below 1, so roots
-    # stay scale-equivariant however small the inputs are.
+def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
+    # (p-quantile, whether the zero atom covers p by itself); p < 1 is
+    # guaranteed by callers. The tolerance shrinks with the scale
+    # |y| + sigma below 1, so roots stay scale-equivariant however small
+    # the inputs are.
     cdf = _cdf_callable(obs, method)
     if cdf(0.0) >= p:
-        return 0.0
+        return 0.0, True
     hi = upper_bracket(cdf, p, obs.norm + 10.0 * obs.sigma, f"{method} quantile {p!r}")
-    return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL * min(1.0, obs.norm + obs.sigma))
+    return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL * min(1.0, obs.norm + obs.sigma)), False
 
 
 class MedianResult(NamedTuple):
@@ -163,10 +154,7 @@ def median(obs: Observation, method: Method) -> MedianResult:
     (it has an atom at zero of size C(0|y) = exp(-|y|^2 / (2 sigma^2)));
     in that case the median sits at the boundary and the flag is set.
     """
-    cdf = _cdf_callable(obs, method)
-    if cdf(0.0) >= 0.5:
-        return MedianResult(0.0, True)
-    return MedianResult(_quantile(obs, method, 0.5), False)
+    return MedianResult(*_quantile(obs, method, 0.5))
 
 
 def level_interval(obs: Observation, method: Method, level: float) -> LevelInterval:
@@ -177,14 +165,8 @@ def level_interval(obs: Observation, method: Method, level: float) -> LevelInter
     clipped to 0 and flagged.
     """
     level = require_open_unit("level", level)
-    p_lo = 0.5 * (1.0 - level)
-    p_hi = 0.5 * (1.0 + level)
-    cdf = _cdf_callable(obs, method)
-    if cdf(0.0) >= p_lo:
-        lo, clipped = 0.0, True
-    else:
-        lo, clipped = _quantile(obs, method, p_lo), False
-    hi = _quantile(obs, method, p_hi)
+    lo, clipped = _quantile(obs, method, 0.5 * (1.0 - level))
+    hi, _ = _quantile(obs, method, 0.5 * (1.0 + level))
     return LevelInterval(lo, hi, clipped)
 
 

@@ -53,7 +53,8 @@ _LGAMMA_BELOW_30 = np.array([math.lgamma(k + 1.0) for k in range(30)])
 
 
 # Argument checks shared by every module: each returns the value as a
-# float (or int) and raises DomainError naming the argument otherwise.
+# float (or int, or the squared ratio to sigma) and raises DomainError
+# naming the argument otherwise.
 
 
 def require_finite(name: str, value: float) -> float:
@@ -82,6 +83,25 @@ def require_open_unit(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie strictly between 0 and 1, got {value!r}")
     return value
+
+
+def require_squared_ratio(name: str, value, sigma: float, **inputs):
+    """(value/sigma)^2 for sigma > 0 and a nonnegative float or array value.
+
+    The ratio is formed before the square, so the result depends on value
+    and sigma only through value/sigma and leaves float range only when
+    the square itself does. Its DomainError names value (unless it is an
+    array), then any keyword inputs that produced it, then sigma.
+    """
+    is_array = isinstance(value, np.ndarray)
+    ratio = (float(value.max()) if is_array else value) / sigma
+    if not math.isfinite(ratio * ratio):
+        given = {**({} if is_array else {name: value}), **inputs, "sigma": sigma}
+        got = ", ".join(f"{k}={v!r}" for k, v in given.items())
+        raise DomainError(f"({name}/sigma)^2 must stay finite, got {got}")
+    if is_array:
+        ratio = value / sigma  # no element exceeds the peak checked above
+    return ratio * ratio
 
 
 def require_count(name: str, value: int, minimum: int) -> int:

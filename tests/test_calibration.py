@@ -264,6 +264,21 @@ class TestSamplingContract:
         assert (run_sweep(1.99, 2.0, cfg, workers=4), pit_sample(scen, 500, 3, workers=4)) == base
 
 
+class TestScaleEquivariance:
+    def test_exact_row_and_pit_do_not_depend_on_scale(self):
+        # every input enters through its ratio to sigma, so scaling
+        # delta_true, sigma and radius together by k changes no output
+        base = Scenario(1.99, 2.5, 2.0)
+        want_row = exact_row(base)
+        want_pit = pit_sample(base, 1000, 5)
+        for k in (1e-160, 1e-150, 1e150, 1e160):
+            scen = Scenario(1.99 * k, 2.5 * k, 2.0 * k)
+            assert exact_row(scen) == pytest.approx(want_row, rel=0.0, abs=1e-12)
+            got = pit_sample(scen, 1000, 5)
+            assert got.histogram == want_pit.histogram
+            assert abs(got.mean_u - want_pit.mean_u) <= 1e-12
+
+
 class TestAgainstIndependentResampling:
     def test_rotated_draws_match_exact_row(self):
         # Regression oracle bypassing the sweep machinery: raw numpy draws

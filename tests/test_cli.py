@@ -339,13 +339,32 @@ class TestPit:
     ("sweep", "--sigma-grid", "1,1e154", "--n-reps", "10"),
     ("pit", "--delta-true", "2", "--sigma", "1e200", "--radius", "2", "--n", "100"),
 ])
+def test_huge_sigma_runs(capsys, argv):
+    # |y|^2 and sigma^2 overflow, but every ratio the run needs is finite
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    if argv[0] == "sweep":
+        row = read_sweep_csv(out)[-1]
+        assert row.sigma == float(argv[2].split(",")[-1])
+        exact = [row.mean_bayes_exact, row.mean_cd_exact, row.freq_bayes_exact, row.freq_cd_exact]
+        assert exact == [1.0, 0.5, 1.0, 0.05]
+    else:
+        assert sum(count for _, _, count in read_pit_csv(out)) == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("pit", "--delta-true", "0", "--sigma", "1e-160", "--radius", "2", "--n", "100"),
+    ("sweep", "--delta-true", "0", "--radius", "2", "--sigma-grid", "1e-160", "--n-reps", "10"),
+    ("sweep", "--delta-true", "2", "--sigma-grid", "1e-160", "--n-reps", "10"),
+])
 def test_overflowing_sigma_is_named(capsys, argv):
-    # |y|^2 overflows although every ratio the run needs is finite; the
-    # message names the inputs, not the internal grid arguments
+    # (R/sigma)^2 or (|y|/sigma)^2 really overflows; the message names the
+    # inputs, not the internal grid arguments
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "sigma=1e+" in err and "delta_true=" in err
+    assert "sigma=1e-160" in err
+    assert ("radius=" if argv[2] == "0" else "delta_true=") in err
 
 
 class TestConfigAndOutput:

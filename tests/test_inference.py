@@ -116,11 +116,11 @@ class TestCdfs:
             tabulate_curves(Observation.from_norm(1e200, 1.0), [0.0, 1.0])
 
     def test_arguments_keep_their_arithmetic(self):
-        # B and C evaluate G2 at exactly delta*delta/s2 and |y|**2/s2
+        # B and C evaluate G2 at exactly (delta/sigma)**2 and (|y|/sigma)**2,
+        # each ratio formed before its square
         for norm, sigma, delta in [(5.0, 2.5, 2.0), (0.3, 0.7, 1.1), (40.0, 0.9, 37.0)]:
             o = Observation.from_norm(norm, sigma)
-            s2 = sigma * sigma
-            x, nu = delta * delta / s2, norm ** 2 / s2
+            x, nu = (delta / sigma) ** 2, (norm / sigma) ** 2
             assert bayes_cdf(o, delta) == noncentral_chisq2_cdf(x, nu)
             assert cd_cdf(o, delta) == 1.0 - noncentral_chisq2_cdf(nu, x)
 
@@ -263,15 +263,21 @@ class TestStructuralDominance:
             assert abs(bayes_cdf(base, delta) - bayes_cdf(scaled, scale * delta)) <= 1e-12
 
     def test_roots_scale_equivariant_at_tiny_scales(self):
-        # the reference case shrunk far below the absolute root tolerance
+        # the reference case shrunk far below the absolute root tolerance,
+        # and grown far above it: B(R) and C(R) do not move, roots scale by k
         def roots(k):
             o = Observation.from_norm(5.0 * k, 2.5 * k)
             iv = level_interval(o, "cd", 0.90)
             return [median(o, "bayes").value / k, median(o, "cd").value / k, iv.lo / k, iv.hi / k]
 
-        want = roots(1.0)
-        for k in (1e-12, 1e-60, 1e-150):
+        def at_radius(k):
+            o = Observation.from_norm(5.0 * k, 2.5 * k)
+            return [bayes_cdf(o, 2.0 * k), cd_cdf(o, 2.0 * k)]
+
+        want, want_at_radius = roots(1.0), at_radius(1.0)
+        for k in (1e-160, 1e-150, 1e-60, 1e-12, 1e12, 1e60, 1e160):
             assert roots(k) == pytest.approx(want, rel=1e-9)
+            assert at_radius(k) == pytest.approx(want_at_radius, rel=0.0, abs=1e-15)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
