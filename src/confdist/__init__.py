@@ -4,8 +4,8 @@ Given two objects whose displacement is observed with isotropic Gaussian
 noise, this package computes the posterior CDF of their distance under a
 flat prior, the matching frequentist confidence distribution, summary
 quantities of both (medians, intervals, collision confidence), and the
-Monte Carlo plus exact-quadrature calibration experiments that contrast
-them.
+Monte Carlo calibration experiments that contrast them, each beside its
+exact twin in closed form.
 """
 
 from .calibration import (

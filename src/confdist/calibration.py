@@ -1,5 +1,8 @@
 """Calibration experiments: Monte Carlo sweeps, exact twins, PIT checks.
 
+The exact twins of a sweep row are closed forms in G2 and the gap term
+for the means, and one root each for the threshold frequencies.
+
 Replicated observations are drawn from the model y ~ N((delta_true, 0),
 sigma^2 I). Reproducibility contract: sigma index s of a sweep owns the
 generator PCG64(SeedSequence(seed, spawn_key=(s,))) and a PIT sample owns
@@ -18,11 +21,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
+# unused: kept until the benchmark stops timing its import (ROADMAP item 1)
+import scipy.integrate  # noqa: F401
 
 from .inference import Observation
 from .specfun import (
-    ConvergenceError,
     DomainError,
     _cdf_grid,
     bessel_i0_scaled,
@@ -47,12 +50,6 @@ __all__ = [
     "exact_row",
     "pit_sample",
 ]
-
-# density mass beyond the quadrature cutoff
-_QUAD_TAIL = 1e-12
-# absolute accuracy demanded of the exact-mean integrals
-_QUAD_ABS = 1e-8
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -162,54 +159,33 @@ def _squared_norm_ratios(
     return require_squared_ratio("|y|", norm, scenario.sigma, delta_true=scenario.delta_true)
 
 
-def _ncx2_pdf(z: float, nu: float) -> float:
-    # density of Z = |Y|^2/sigma^2: 2 df, noncentrality nu, exponentially
-    # scaled Bessel factor keeps it finite for any argument size
-    if z < 0.0:
-        return 0.0
-    root = math.sqrt(z * nu) if nu > 0.0 else 0.0
-    return 0.5 * math.exp(-0.5 * (math.sqrt(z) - math.sqrt(nu)) ** 2) * bessel_i0_scaled(root)
-
-
-def _upper_quantile(nu: float, p: float) -> float:
-    cdf = lambda z: noncentral_chisq2_cdf(z, nu)
-    hi = upper_bracket(cdf, p, nu + 20.0, f"quantile {p!r} at nu={nu!r}")
-    return invert_monotone(cdf, p, 0.0, hi)
-
-
-def _integrate(fn, upper: float, label: str) -> float:
-    value, abserr = quad(fn, 0.0, upper, epsabs=1e-9, epsrel=1e-10, limit=200)
-    if abserr > _QUAD_ABS:
-        raise ConvergenceError(f"{label} quadrature error {abserr!r} above {_QUAD_ABS}")
-    return min(max(value, 0.0), 1.0)
-
-
 def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
-    """Quadrature/root-finding twins of the Monte Carlo sweep summaries.
+    """Closed-form and root-finding twins of the Monte Carlo sweep summaries.
 
     Works in z = |Y|^2/sigma^2, which follows the noncentral chi-square
-    law with 2 df and noncentrality nu0 = (delta_true/sigma)^2. Means
-    integrate the non-collision probabilities against the density of z up
-    to its 1 - 1e-12 quantile (absolute error <= 1e-8). Frequencies invert
-    the threshold crossing and read off the z tail mass; when even z = 0
-    exceeds the threshold on the Bayes side the frequency is exactly 1.
+    law with 2 df and noncentrality nu0 = (delta_true/sigma)^2. The means
+    are closed forms: one G2 value plus a share of the gap term, so they
+    carry the 1e-12 contract of G2. Frequencies invert the threshold
+    crossing and read off the z tail mass; when even z = 0 exceeds the
+    threshold on the Bayes side the frequency is exactly 1.
     """
     threshold = require_open_unit("threshold", threshold)
     sigma = scenario.sigma
     nu0 = require_squared_ratio("delta_true", scenario.delta_true, sigma)
     x0 = require_squared_ratio("radius", scenario.radius, sigma)
 
-    cutoff = _upper_quantile(nu0, 1.0 - _QUAD_TAIL)
-    mean_bayes = _integrate(
-        lambda z: (1.0 - noncentral_chisq2_cdf(x0, z)) * _ncx2_pdf(z, nu0),
-        cutoff,
-        "mean_bayes",
-    )
-    mean_cd = _integrate(
-        lambda z: noncentral_chisq2_cdf(z, x0) * _ncx2_pdf(z, nu0),
-        cutoff,
-        "mean_cd",
-    )
+    # a^2 = x0/2, b^2 = nu0/2, g = e^{-(a-b)^2/2} I0e(ab) (the C - B gap at
+    # (R, delta_true)/sqrt(2)). By Q1(a,b) + Q1(b,a) = 1 + e^{-(a^2+b^2)/2} I0(ab):
+    #   mean_bayes = Q1(b, a) = G2(b^2, a^2) + g  (Y plus independent noise
+    #     is N(mu, 2 sigma^2 I)), and by Stein's two-Rician comparison
+    #   mean_cd = P(|W| <= |Y|) = G2(b^2, a^2) + g/2, W ~ N(R e, sigma^2 I).
+    # Adding g >= 0 (never subtracting) keeps 0 <= mean_cd <= mean_bayes <= 1.
+    p = noncentral_chisq2_cdf(0.5 * nu0, 0.5 * x0)
+    a = math.sqrt(0.5 * x0)
+    b = math.sqrt(0.5 * nu0)
+    g = math.exp(-0.5 * (a - b) ** 2) * bessel_i0_scaled(a * b)
+    mean_bayes = min(p + g, 1.0)
+    mean_cd = min(p + 0.5 * g, 1.0)
 
     # Bayes side: 1 - B = 1 - Gamma2(x0, z), increasing in z with infimum
     # 1 - Gamma2(x0, 0) = exp(-x0/2); threshold below the infimum means
@@ -226,7 +202,9 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
 
     # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1, so
     # the crossing always exists.
-    z_star = _upper_quantile(x0, threshold)
+    noncol = lambda z: noncentral_chisq2_cdf(z, x0)
+    hi = upper_bracket(noncol, threshold, x0 + 20.0, f"the CD-side threshold at sigma={sigma!r}")
+    z_star = invert_monotone(noncol, threshold, 0.0, hi)
     freq_cd = 1.0 - noncentral_chisq2_cdf(z_star, nu0)
 
     return ExactRow(mean_bayes, mean_cd, freq_bayes, freq_cd)

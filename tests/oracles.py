@@ -73,3 +73,65 @@ def rice_g2(x: float, nu: float, dps: int = 30) -> float:
             edges.append(edges[-1] + 1)
         edges.append(top)
         return float(mp.quad(density, edges, method="gauss-legendre"))
+
+
+def _poisson_weights(mean, eps):
+    """Poisson(k; mean) for k = 0, 1, ... (mpmath), stopping on the first
+    term past the mean that is below eps: the tail left out is then below
+    eps times a geometric factor."""
+    weight = mp.exp(-mean)
+    k = 0
+    while k <= mean or weight >= eps:
+        yield k, weight
+        k += 1
+        weight *= mean / k
+
+
+def mp_exact_means(delta_true: float, sigma: float, radius: float, dps: int = 30):
+    """(mean_bayes, mean_cd) of the sweep's exact twins from Poisson-mixture
+    series in mpmath at `dps` digits. With x0 = (R/sigma)^2, nu0 =
+    (delta_true/sigma)^2, W ~ G2(., x0) and Z ~ G2(., nu0) independent:
+        mean_cd = P(W <= Z)
+                = sum_ij Pois(i; x0/2) Pois(j; nu0/2) P(Bin(i+j+1, 1/2) >= i+1),
+        1 - mean_bayes = E[G2(x0, Z)]
+                = sum_k P(K=k) P(Gamma(k+1) <= x0/2),  K | J ~ NegBin(J+1, 1/2),
+    where J ~ Pois(nu0/2) is the Poisson index of Z/2 ~ Gamma(J+1).
+    Each sum stops on its term size; every factor after the weights lies
+    in [0, 1], so the truncation error is about 10**-dps per sum."""
+    with mp.workdps(dps):
+        eps = mp.mpf(10) ** (-dps)
+        half_x = (mp.mpf(radius) / sigma) ** 2 / 2
+        half_nu = (mp.mpf(delta_true) / sigma) ** 2 / 2
+        half = mp.mpf(1) / 2
+
+        # P(W <= Z): W/2, Z/2 are Gamma(i+1), Gamma(j+1), and W <= Z
+        # exactly when at least i+1 of the first i+j+1 arrivals of two
+        # merged unit-rate Poisson processes belong to the W process.
+        mean_cd = mp.mpf(0)
+        for i, wi in _poisson_weights(half_x, eps):
+            tail = half ** (i + 1)  # P(Bin(i+1, 1/2) >= i+1)
+            pmf = (i + 1) * half ** (i + 1)  # P(Bin(n, 1/2) = i) at n = i+1
+            inner = mp.mpf(0)
+            for j, wj in _poisson_weights(half_nu, eps):
+                inner += wj * tail
+                n = i + j + 1
+                tail += pmf / 2  # P(Bin(n+1, 1/2) >= i+1)
+                pmf *= mp.mpf(n + 1) / (2 * (n + 1 - i))
+            mean_cd += wi * inner
+
+        # P(Gamma(k+1) <= x0/2) = 1 - sum_{m <= k} Pois(m; x0/2)
+        gamma_cdf = []
+        below, term = mp.mpf(0), mp.exp(-half_x)
+        one_minus_bayes = mp.mpf(0)
+        for j, wj in _poisson_weights(half_nu, eps):
+            nb = half ** (j + 1)  # NegBin(k; j+1, 1/2) at k = 0
+            k = 0
+            while k <= j + 1 or nb >= eps:
+                while len(gamma_cdf) <= k:
+                    below += term
+                    term *= half_x / (len(gamma_cdf) + 1)
+                    gamma_cdf.append(1 - below)
+                one_minus_bayes += wj * nb * gamma_cdf[k]
+                nb *= mp.mpf(k + j + 1) / (2 * (k + 1))
+                k += 1
+        return float(1 - one_minus_bayes), float(mean_cd)

@@ -20,10 +20,12 @@ from confdist import (
     pit_sample,
     run_sweep,
 )
+from oracles import mp_exact_means
 
 # Exact sweep quantities for delta_true = 1.99, radius = 2.00 on part of
-# the default sigma grid, quadrature values frozen during development
-# (mean_bayes, mean_cd, freq_bayes, freq_cd at threshold 0.95).
+# the default sigma grid, frozen to six decimals during development from
+# quadrature (mean_bayes, mean_cd, freq_bayes, freq_cd at threshold 0.95);
+# exact_row's closed-form means and roots round to the same six decimals.
 EXACT_TABLE = {
     0.25: (0.524240, 0.488762, 0.058157, 0.046022),
     1.0: (0.652101, 0.497382, 0.102282, 0.049020),
@@ -98,7 +100,7 @@ class TestExactRow:
     def test_calibration_identities_at_radius(self):
         for sigma in (2.5, 0.7):
             row = exact_row(Scenario(2.0, sigma, 2.0), threshold=0.95)
-            assert abs(row.mean_cd - 0.5) <= 1e-8
+            assert abs(row.mean_cd - 0.5) <= 1e-15
             assert abs(row.freq_cd - 0.05) <= 1e-8
 
     def test_frozen_table(self):
@@ -108,6 +110,26 @@ class TestExactRow:
             assert abs(row.mean_cd - want[1]) <= 5e-6
             assert abs(row.freq_bayes - want[2]) <= 5e-6
             assert abs(row.freq_cd - want[3]) <= 5e-6
+
+    @pytest.mark.parametrize(
+        "delta_true, sigma, radius",
+        [(1.99, 0.25, 2.0), (1.99, 0.5, 2.0), (1.99, 1.0, 2.0), (1.99, 2.0, 2.0),
+         (1.99, 16.0, 2.0), (2.0, 2.5, 2.0), (0.0, 1.0, 2.0), (2.0, 1.0, 5.0)],
+    )
+    def test_means_match_series_oracle(self, delta_true, sigma, radius):
+        want_bayes, want_cd = mp_exact_means(delta_true, sigma, radius)
+        row = exact_row(Scenario(delta_true, sigma, radius))
+        assert abs(row.mean_bayes - want_bayes) <= 1e-14
+        assert abs(row.mean_cd - want_cd) <= 1e-14
+
+    def test_means_ordered_in_far_tails(self):
+        # g >= 0 is added to G2(b^2, a^2); the form 1 - G2(a^2, b^2) - g/2
+        # put mean_cd near -6e-275 where both means underflow
+        for delta_true in (0.0, 0.4, 1.0, 1.5, 2.0, 3.0):
+            for sigma in (0.01, 0.03, 0.1, 1.0, 30.0):
+                for radius in (0.5, 2.0):
+                    row = exact_row(Scenario(delta_true, sigma, radius))
+                    assert 0.0 <= row.mean_cd <= row.mean_bayes <= 1.0, (delta_true, sigma, radius)
 
     def test_bayes_frequency_boundary(self):
         # At sigma = 8 the posterior non-collision probability exceeds
