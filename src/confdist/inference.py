@@ -24,6 +24,7 @@ import numpy as np
 
 from .specfun import (
     DomainError,
+    _cdf_grid,
     invert_monotone,
     noncentral_chisq2_cdf,
     require_finite,
@@ -227,8 +228,11 @@ def tabulate_curves(obs: Observation, grid) -> CurveTable:
         raise DomainError("grid values must be finite and nonnegative")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid must be strictly increasing")
-    b = np.array([bayes_cdf(obs, d) for d in grid])
-    c = np.array([cd_cdf(obs, d) for d in grid])
+    # |y| first: an overflow names the first delta, as per-point calls would
+    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=float(grid[0]))
+    d2 = require_squared_ratio("delta", grid, obs.sigma, delta=float(grid[-1]))
+    b = _cdf_grid(d2, y2)
+    c = 1.0 - _cdf_grid(y2, d2)
     return CurveTable(
         delta=grid,
         b=b,

@@ -1,11 +1,11 @@
-"""Scalar special functions underpinning the distance-inference routines.
+"""Special functions underpinning the distance-inference routines.
 
 Self-contained implementations of the modified Bessel function I0, the
-noncentral chi-square CDF with 2 degrees of freedom, and a bisection-based
-inverter for monotone CDFs. Everything here is deterministic: plain float
-arithmetic on the small-argument series and numpy sums over whole arrays
-of terms on the large-argument window and the vector grid. The accuracy
-contracts are stated per function.
+noncentral chi-square CDF with 2 degrees of freedom (scalar, and broadcast
+over arrays), and a bisection-based inverter for monotone CDFs. All of it
+is deterministic: a float series for small arguments (with a numpy twin
+for arrays), and one fixed Gauss-Legendre rule for large ones that scalar
+and array calls share. The accuracy contracts are stated per function.
 """
 
 from __future__ import annotations
@@ -46,10 +46,22 @@ _POISSON_TAIL = 1e-14
 _PROB_SLACK = 1e-9
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
-# terms per numpy block of the large-argument window; bounds its memory
-_WINDOW_BLOCK = 1 << 16
-# log(k!) for k < 30, where Stirling's series is not accurate enough
-_LGAMMA_BELOW_30 = np.array([math.lgamma(k + 1.0) for k in range(30)])
+_DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu
+# Rice quadrature beyond it: 18 equal panels of [-9, top] with 8 Gauss-Legendre
+# nodes each, in blocks of _RICE_ROWS elements to bound memory. The nodes and
+# weights on [-1, 1] are written out, correctly rounded from a 50-digit solve,
+# so that every platform sums the same bits and numpy.polynomial stays unloaded.
+_RICE_CUT, _RICE_PANELS, _RICE_ROWS = 9.0, 18, 1 << 8
+_GL_NODES = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                      -0.1834346424956498, 0.1834346424956498, 0.525532409916329,
+                      0.7966664774136267, 0.9602898564975363])
+_GL_WEIGHTS = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
+                        0.362683783378362, 0.362683783378362, 0.31370664587788727,
+                        0.22238103445337448, 0.10122853629037626])
+_RICE_NODES = ((np.arange(_RICE_PANELS)[:, None] + 0.5 + 0.5 * _GL_NODES) / _RICE_PANELS).ravel()
+_RICE_WEIGHTS = np.tile(_GL_WEIGHTS, _RICE_PANELS) / (2 * _RICE_PANELS * math.sqrt(2 * math.pi))
+# c_k of I0e(z) ~ (2 pi z)^{-1/2} sum_k c_k z^{-k}; 11 terms are exact to float for z > 500
+_I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 11)]).tolist()
 
 
 # Argument checks shared by every module: each returns the value as a
@@ -169,23 +181,6 @@ def bessel_i0_scaled(x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _poisson_logpmf(k: np.ndarray, mean: float) -> np.ndarray:
-    # log Poisson(k; mean) for an integer-valued float array k >= 0 and
-    # mean > 0. Near k ~ mean the naive form -mean + k log(mean) - lgamma(k+1)
-    # loses ~ eps * k log(mean) absolutely to cancellation; expanding lgamma
-    # by Stirling keeps the log accurate to ~1e-13 for any magnitude.
-    kk = np.maximum(k, 30.0)
-    r2 = 1.0 / (kk * kk)
-    corr = (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 / 1260.0)) / kk
-    core = kk * np.log1p((mean - kk) / kk) + (kk - mean)
-    out = core - 0.5 * np.log(2.0 * math.pi * kk) - corr
-    small = k < 30.0
-    if small.any():
-        ks = k[small]
-        out[small] = -mean + ks * math.log(mean) - _LGAMMA_BELOW_30[ks.astype(np.intp)]
-    return out
-
-
 def _as_probability(p: float, context: str) -> float:
     if p < 0.0:
         if p < -_PROB_SLACK:
@@ -223,73 +218,58 @@ def _cdf_series_direct(lam: float, h: float) -> float:
     return acc
 
 
-def _cdf_series_pivoted(lam: float, h: float) -> float:
-    # Large-argument path: the mixture over the +/- 9 sigma window of
-    # Poisson(lam) around its mean, each weight exp(log pmf), against a
-    # running Poisson(h) CDF that starts at j0, also 10 sigma below its
-    # mean. Tail masses outside the windows are < 2e-18 each (Bernstein),
-    # so classification shortcuts are exact to well under the 1e-12
-    # absolute contract. Blocks of _WINDOW_BLOCK terms bound the memory.
-    k_lo = max(0, int(lam - 9.0 * math.sqrt(lam) - 10.0)) if lam > _EXP_LIMIT else 0
-    k_hi = int(lam + 9.0 * math.sqrt(lam) + 30.0) + 10
-
-    g_lo_edge = h - 9.0 * math.sqrt(h) - 10.0  # below: central CDF ~ 1
-    g_hi_edge = h + 9.0 * math.sqrt(h) + 10.0  # above: central CDF ~ 0
-    if k_lo > g_hi_edge:
-        return 0.0
-    if k_hi < g_lo_edge:
-        return 1.0
-
-    j0 = max(0, int(g_lo_edge) - int(math.sqrt(h)) - 10)
-    q = 0.0  # Poisson(h) CDF from j0 up to the previous k
-    for start in range(j0, k_lo, _WINDOW_BLOCK):
-        j = np.arange(start, min(start + _WINDOW_BLOCK, k_lo), dtype=float)
-        q += float(np.exp(_poisson_logpmf(j, h)).sum())
-    acc = 0.0
-    for start in range(k_lo, k_hi + 1, _WINDOW_BLOCK):
-        k = np.arange(start, min(start + _WINDOW_BLOCK, k_hi + 1), dtype=float)
-        t = np.exp(_poisson_logpmf(k, h))  # underflows harmlessly far out
-        t[: max(0, j0 - start)] = 0.0  # the CDF starts at j0
-        cdf = q + np.cumsum(t)
-        acc += float(np.dot(np.exp(_poisson_logpmf(k, lam)), np.maximum(1.0 - cdf, 0.0)))
-        q = float(cdf[-1])
-        if q >= 1.0:
-            break  # remaining factors vanish at float precision
-    return acc
+def _g2_rice(x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    # G2 for 1-d arrays with max(x, nu) > _DIRECT_LIMIT from the Rice density
+    # of |Z + mu| in u = |Z + mu| - a, a = |mu| = sqrt(nu), with no cancellation:
+    #   G2 = int_{-a}^{top} (a+u) e^{-u^2/2} I0e(a(a+u)) du,  top = (x - nu)/(sqrt(x) + a).
+    # The mass beyond |u| = 9 is below 1e-18, so top <= -9 gives 0 and top >= 9
+    # gives 1. Otherwise a > 28: the lower limit is -9, a(a+u) > 500 and, with S
+    # the asymptotic series of I0e, the integrand is sqrt(1 + u/a) e^{-u^2/2} S / sqrt(2 pi).
+    a = np.sqrt(nu)
+    top = (x - nu) / (np.sqrt(x) + a)
+    out = (top >= _RICE_CUT).astype(float)
+    inner = np.flatnonzero(np.abs(top) < _RICE_CUT)
+    for start in range(0, inner.size, _RICE_ROWS):
+        i = inner[start : start + _RICE_ROWS]
+        span = top[i] + _RICE_CUT
+        u = span[:, None] * _RICE_NODES - _RICE_CUT
+        ai = a[i, None]
+        r = 1.0 / (ai * (ai + u))
+        s = _I0E_ASYMPTOTIC[-1]
+        for c in _I0E_ASYMPTOTIC[-2::-1]:
+            s = s * r + c
+        f = np.sqrt(1.0 + u / ai) * np.exp(-0.5 * u * u) * s
+        # a row sum, not f @ w: BLAS may order the sum by the row count,
+        # and a scalar call must equal its element of a vector call
+        out[i] = (f * _RICE_WEIGHTS).sum(axis=1) * span
+    return out
 
 
 def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     """CDF of the noncentral chi-square law with 2 df and noncentrality nu.
 
-    Evaluates the Poisson mixture
-        sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2.
-    While lam and x/2 stay below 700, recurrences from k = 0 run in
-    ordinary arithmetic until the unaccounted Poisson weight falls below
-    1e-14. Beyond that, the sum runs over the +/- 9 sigma window around
-    the Poisson mode as numpy arrays, each weight the exp of its log pmf,
-    in blocks of 2^16 terms so that memory stays bounded at any nu.
+    While x and nu stay at or below 1400, sums the Poisson mixture
+        sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2,
+    by recurrences from k = 0 until the unaccounted Poisson weight falls
+    below 1e-14. Beyond that, integrates the Rice density of sqrt(chi2)
+    by a fixed 144-node Gauss-Legendre rule, in the same time at any nu.
     Absolute error <= 1e-12; results are clamped to [0, 1] (straying more
     than 1e-9 outside raises ConvergenceError).
     """
     x = require_nonnegative("x", x)
     nu = require_nonnegative("nu", nu)
-    if x == 0.0:
-        return 0.0
-    lam = 0.5 * nu
-    h = 0.5 * x
-    if lam <= _EXP_LIMIT and h <= _EXP_LIMIT:
-        p = _cdf_series_direct(lam, h)
+    if max(x, nu) <= _DIRECT_LIMIT:
+        p = _cdf_series_direct(0.5 * nu, 0.5 * x)
     else:
-        p = _cdf_series_pivoted(lam, h)
+        p = float(_g2_rice(np.array([x]), np.array([nu]))[0])
     return _as_probability(p, f"noncentral_chisq2_cdf({x!r}, {nu!r})")
 
 
 def _cdf_grid(x, nu) -> np.ndarray:
     """noncentral_chisq2_cdf broadcast over arrays of x and nu.
 
-    Vector twin of the direct series; falls back to the scalar routine
-    for every element whenever some x/2 or nu/2 exceeds the no-underflow
-    window.
+    Elements with x and nu at or below 1400 take the direct series, the rest
+    the Rice quadrature, which gives each of them its scalar call's bits.
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -299,17 +279,17 @@ def _cdf_grid(x, nu) -> np.ndarray:
     for name, values in (("x", x), ("nu", nu)):
         if not np.all(np.isfinite(values)) or values.min() < 0.0:
             raise DomainError(f"{name} values must be finite and nonnegative")
-    lam = 0.5 * nu
+    # vector twin of the direct series, w and t in the shapes of nu and x;
+    # lam = 0 where nu is large keeps exp(-lam) normal and the loop finite,
+    # and the Rice quadrature then fills in every element with a large argument
+    lam = np.where(nu > _DIRECT_LIMIT, 0.0, 0.5 * nu)
     h = 0.5 * x
-    if lam.max() > _EXP_LIMIT or h.max() > _EXP_LIMIT:
-        return np.vectorize(noncentral_chisq2_cdf, otypes=[float])(x, nu)
-
-    # w and t keep the shapes of nu and x; only acc takes the broadcast one
     w = np.exp(-lam)
     cumw = w.copy()
     t = np.exp(-h)
     q = t.copy()
-    acc = w * (1.0 - q)
+    acc = np.zeros(shape)  # an array even when x and nu are both 0-d
+    acc += w * (1.0 - q)
     k = 0
     while 1.0 - cumw.min() > _POISSON_TAIL:
         k += 1
@@ -323,9 +303,11 @@ def _cdf_grid(x, nu) -> np.ndarray:
         acc += w * g
         if k > 100000:
             raise ConvergenceError(f"vector mixture series stalled at nu up to {nu.max()!r}")
+    large = np.maximum(x, nu) > _DIRECT_LIMIT
+    acc[large] = _g2_rice(np.broadcast_to(x, shape)[large], np.broadcast_to(nu, shape)[large])
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
     if bad.any():
-        raise ConvergenceError("vector mixture series left [0, 1]")
+        raise ConvergenceError("vector G2 left [0, 1]")
     return np.clip(acc, 0.0, 1.0)
 
 

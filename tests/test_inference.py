@@ -313,6 +313,16 @@ class TestTabulateCurves:
         )
         assert np.max(np.abs((table.c - table.b) - want)) <= 1e-10
 
+    def test_vector_columns_match_per_point_calls(self):
+        # |y|/sigma near 835 puts every point on the Rice quadrature
+        obs = Observation.from_norm(1010.3, 1.21011)
+        grid = np.linspace(1005.46, 1015.14, 17)
+        table = tabulate_curves(obs, grid)
+        b = np.array([bayes_cdf(obs, d) for d in grid])
+        c = np.array([cd_cdf(obs, d) for d in grid])
+        assert np.max(np.abs(table.b - b)) <= 1e-15
+        assert np.max(np.abs(table.c - c)) <= 1e-15
+
     def test_grid_validation(self, obs):
         with pytest.raises(DomainError):
             tabulate_curves(obs, [])

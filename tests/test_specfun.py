@@ -34,7 +34,7 @@ I0E_AT_50 = 0.05656162664745419253
 G2_AT_12_34 = 0.12691280098891489  # x = 1.2, nu = 3.4
 G2_AT_4_064 = 0.7785049513655241   # x = 4.0, nu = 0.64
 
-# Large-argument anchors for the log-space path, frozen from a 40-digit
+# Large-argument anchors for the Rice-quadrature path, frozen from a 40-digit
 # evaluation of the Poisson mixture (the first was also confirmed by a
 # 2e6-sample Monte Carlo run during development).
 LARGE_ANCHORS = [
@@ -46,9 +46,10 @@ LARGE_ANCHORS = [
     (4000.0, 200.0, 1.0),
 ]
 
-# Points near sqrt(x) = sqrt(nu) from nu = 1e4 to 1e10, checked against the
-# Rice-integral oracle; the windows from nu = 1e8 up span several blocks.
+# Points near sqrt(x) = sqrt(nu) from nu = 1300 (with x > 1400) to 1e20, checked
+# against the Rice-integral oracle; from nu = 1e12 up, sqrt(x) - sqrt(nu) is -3, 0 and 3.
 RICE_GRID = [
+    (1500.0, 1300.0),
     (1e4, 1e4),
     (1.02e4, 1e4),
     (2.25e4, 2.24e4),
@@ -60,7 +61,7 @@ RICE_GRID = [
     (1e8, 1.0001e8),
     (1e9, 1.00003e9),
     (1e10, 1e10),
-]
+] + [((math.sqrt(nu) + d) ** 2, nu) for nu in (1e12, 1e16, 1e20) for d in (-3.0, 0.0, 3.0)]
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,7 @@ class TestNoncentralChisq2Cdf:
             assert all(a - b >= -1e-13 for a, b in zip(vals, vals[1:]))
 
     def test_smooth_across_series_switchover(self):
-        # direct recurrences hand over to the log-space sweep at nu = 1400
+        # direct recurrences hand over to the Rice quadrature at nu = 1400
         lo = noncentral_chisq2_cdf(1400.0, 1399.99)
         hi = noncentral_chisq2_cdf(1400.0, 1400.01)
         assert abs(lo - hi) < 5e-3
@@ -212,23 +213,14 @@ class TestLargeArgumentWindow:
     def test_matches_rice_oracle_up_to_1e10(self, rice_grid):
         errors = {p: noncentral_chisq2_cdf(*p) - want for p, want in rice_grid.items()}
         assert max(abs(e) for e in errors.values()) <= 1e-12, errors
-        # the +/- 9 sigma window of Poisson(nu/2) at the largest point
-        # covers many blocks, so the carry between blocks is checked too
-        lam = 0.5 * max(nu for _, nu in RICE_GRID)
-        assert 18.0 * math.sqrt(lam) > 10 * specfun._WINDOW_BLOCK
 
-    def test_block_size_does_not_change_the_sum(self, monkeypatch, rice_grid):
-        # cases: h > lam (CDF start inside the first block), h < lam (CDF
-        # carried in before the window), lam <= 700 < h (window from k = 0)
-        points = [(1500.0, 1450.0), (1300.0, 1500.0), (1500.0, 1300.0),
-                  (1e4, 1e4), (1.02e4, 1e4), (1e6, 1.002e6), (1e6, 0.998e6)]
-        whole = [noncentral_chisq2_cdf(*p) for p in points]
-        monkeypatch.setattr(specfun, "_WINDOW_BLOCK", 61)
-        for p, want in zip(points, whole):
-            got = noncentral_chisq2_cdf(*p)
-            assert abs(got - want) <= 1e-14, p
-            oracle = rice_grid[p] if p in rice_grid else rice_g2(*p)
-            assert abs(got - oracle) <= 1e-12, p
+    def test_gauss_legendre_literals(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.max(np.abs(specfun._GL_NODES - nodes)) <= 1e-15
+        assert np.max(np.abs(specfun._GL_WEIGHTS - weights)) <= 1e-15
+        assert np.array_equal(specfun._GL_NODES, -specfun._GL_NODES[::-1])
+        assert np.array_equal(specfun._GL_WEIGHTS, specfun._GL_WEIGHTS[::-1])
+        assert abs(specfun._GL_WEIGHTS.sum() - 2.0) <= 1e-15
 
     def test_memory_stays_bounded_at_huge_nu(self):
         tracemalloc.start()
@@ -238,6 +230,18 @@ class TestLargeArgumentWindow:
         finally:
             tracemalloc.stop()
         assert 0.49 < value < 0.51
+        assert peak < 8e6
+
+    def test_memory_stays_bounded_for_long_arrays(self):
+        # 144 nodes for each of 20,000 elements at once would take 23 MB per temporary
+        x = np.full(20000, 1e10)
+        tracemalloc.start()
+        try:
+            values = _cdf_grid(x, 1e10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(values == noncentral_chisq2_cdf(1e10, 1e10))
         assert peak < 8e6
 
     def test_window_edges_return_exact_values(self):
@@ -265,14 +269,26 @@ class TestVectorHelpers:
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_fallback_paths_equal_scalar_exactly(self):
-        xs = np.array([100.0, 1500.0, 2000.0])
-        got = _cdf_grid(xs, 1450.0)
-        want = np.array([noncentral_chisq2_cdf(float(x), 1450.0) for x in xs])
-        assert np.array_equal(got, want)
-        nus = np.array([0.0, 1450.0, 4000.0])
-        got = _cdf_grid(1500.0, nus)
-        want = np.array([noncentral_chisq2_cdf(1500.0, float(nu)) for nu in nus])
-        assert np.array_equal(got, want)
+        # large elements (max(x, nu) > 1400) run the scalar call's Rice
+        # quadrature, whatever the length and mix of the array
+        rng = np.random.default_rng(5)
+        # a sigma = 0.01 sweep row: squared ratios of 1,000 draws around 2
+        z = np.sum((rng.standard_normal((1000, 2)) + [1.99 / 0.01, 0.0]) ** 2, axis=1)
+        cases = [
+            (np.array([100.0, 1500.0, 2000.0]), 1450.0),
+            (1500.0, np.array([0.0, 1450.0, 4000.0])),
+            (np.array([5.0, 1500.0]), np.array([5.0, 1450.0])),
+            (z, 4e4),
+            (4e4, z),
+        ]
+        for x, nu in cases:
+            got = _cdf_grid(x, nu)
+            x, nu = np.broadcast_arrays(x, nu)
+            want = np.array([noncentral_chisq2_cdf(float(a), float(b)) for a, b in zip(x, nu)])
+            large = np.maximum(x, nu) > 1400.0
+            assert large.any()
+            assert np.array_equal(got[large], want[large])
+            assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_empty_and_invalid_inputs(self):
         assert _cdf_grid(np.array([]), 1.0).size == 0
