@@ -84,7 +84,7 @@ class SweepConfig:
         for s in grid:
             require_positive("sigma_grid entry", s)
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError("sigma_grid must be strictly increasing")
+            raise DomainError(f"sigma_grid must be strictly increasing, got {grid!r}")
         object.__setattr__(self, "sigma_grid", grid)
         object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1))
         object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
@@ -224,15 +224,13 @@ def run_sweep(
     and otherwise ignored: sampling is one vector draw per sigma, so
     outputs are identical for any worker count.
     """
-    delta_true = require_nonnegative("delta_true", delta_true)
-    radius = require_positive("radius", radius)
     require_count("workers", workers, 1)
     n = config.n_reps
     rows = []
     for s_idx, sigma in enumerate(config.sigma_grid):
         scenario = Scenario(delta_true, sigma, radius)
         z = _squared_norm_ratios(scenario, config.seed, (s_idx,), n)
-        x0 = require_squared_ratio("radius", radius, sigma)
+        x0 = require_squared_ratio("radius", scenario.radius, sigma)
         noncol_bayes = 1.0 - _cdf_grid(x0, z)
         noncol_cd = _cdf_grid(z, x0)
         exact = exact_row(scenario, config.threshold)

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,7 +43,16 @@ from .inference import (
     noncollision_pvalue,
     tabulate_curves,
 )
-from .specfun import BracketError, ConvergenceError, DomainError
+from .specfun import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    require_count,
+    require_finite,
+    require_nonnegative,
+    require_open_unit,
+    require_positive,
+)
 
 __all__ = [
     "main",
@@ -78,14 +88,14 @@ REQUIRED = object()  # Param.default of a parameter that has none
 
 class Param(NamedTuple):
     """One command-line parameter. cast reads flag and config text; default
-    is config text, None (optional) or REQUIRED; rule(value, flag) returns
-    the accepted value or raises UsageError."""
+    is config text, None (optional) or REQUIRED; rule(flag, value) returns
+    the accepted value or raises DomainError or UsageError naming the flag."""
 
     flag: str
     cast: Callable[[str], object]
     help: str
     default: object = None
-    rule: Callable[[object, str], object] | None = None
+    rule: Callable[[str, object], object] | None = None
     metavar: str | None = None
     choices: tuple[str, ...] | None = None
 
@@ -94,21 +104,7 @@ class Param(NamedTuple):
         return self.flag[2:].replace("-", "_")
 
 
-def _rule(test: Callable[[object], bool], message: str) -> Callable[[object, str], object]:
-    def check(value, flag):
-        if not test(value):
-            raise UsageError(f"{flag} {message}")
-        return value
-    return check
-
-
-_FINITE = _rule(math.isfinite, "must be a finite number")
-_NONNEGATIVE = _rule(lambda v: 0.0 <= v < math.inf, "must be a finite nonnegative number")
-_POSITIVE = _rule(lambda v: 0.0 < v < math.inf, "must be a positive finite number")
-_UNIT_OPEN = _rule(lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
-
-
-def _grid(text: str, flag: str) -> np.ndarray:
+def _grid(flag: str, text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag} must look like lo:hi:n, got {text!r}")
@@ -121,25 +117,21 @@ def _grid(text: str, flag: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _sigma_grid(text: str, flag: str) -> tuple[float, ...]:
+def _sigma_grid(flag: str, text: str) -> tuple[float, ...]:
+    # SweepConfig checks that the entries are positive and increasing
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
-    ordered = all(b > a for a, b in zip(values, values[1:]))
-    if not ordered or not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise UsageError(f"{flag} must be a strictly increasing list of positive numbers")
-    return values
 
 
-NORM = Param("--norm", float, "observed displacement norm |y|", rule=_NONNEGATIVE)
-SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED, _POSITIVE)
-RADIUS = Param("--radius", float, "collision radius R", REQUIRED, _POSITIVE)
-DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED, _NONNEGATIVE)
-SEED = Param("--seed", int, "base seed", "1",
-             _rule(lambda v: v >= 0, "must be a nonnegative integer"))
+NORM = Param("--norm", float, "observed displacement norm |y|", rule=require_nonnegative)
+SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED, require_positive)
+RADIUS = Param("--radius", float, "collision radius R", REQUIRED, require_positive)
+DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED, require_nonnegative)
+SEED = Param("--seed", int, "base seed", "1", partial(require_count, minimum=0))
 WORKERS = Param("--workers", int, "accepted for compatibility; has no effect", "1",
-                _rule(lambda v: v >= 1, "must be an integer >= 1"))
+                partial(require_count, minimum=1))
 OUTPUT = Param("--output", str, "write to this file instead of stdout", metavar="PATH")
 FORMAT = Param("--format", str, "output format", choices=("text", "csv", "json"))
 
@@ -168,7 +160,7 @@ def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.N
         if p.choices and value not in p.choices:
             raise UsageError(f"{p.flag} must be one of {', '.join(p.choices)}")
         if p.rule:
-            values[p.key] = p.rule(value, p.flag)
+            values[p.key] = p.rule(p.flag, value)
     return argparse.Namespace(**values)
 
 
@@ -321,11 +313,11 @@ def _pit(v: argparse.Namespace) -> str:
 COMMANDS = {
     "analyze": ("summarize a single observation", _analyze, (
         NORM,
-        Param("--y1", float, "first displacement coordinate", rule=_FINITE),
-        Param("--y2", float, "second displacement coordinate", rule=_FINITE),
+        Param("--y1", float, "first displacement coordinate", rule=require_finite),
+        Param("--y2", float, "second displacement coordinate", rule=require_finite),
         SIGMA,
         RADIUS,
-        Param("--level", float, "interval level", "0.90", _UNIT_OPEN),
+        Param("--level", float, "interval level", "0.90", require_open_unit),
         FORMAT._replace(default="text"),
         OUTPUT,
     )),
@@ -341,10 +333,9 @@ COMMANDS = {
         RADIUS._replace(default="2.00"),
         Param("--sigma-grid", str, "noise scales", "0.25,0.5,1,2,4,8,16", _sigma_grid,
               metavar="S1,S2,..."),
-        Param("--n-reps", int, "replicates per sigma", "100000",
-              _rule(lambda v: v >= 1, "must be an integer >= 1")),
+        Param("--n-reps", int, "replicates per sigma", "100000", partial(require_count, minimum=1)),
         SEED,
-        Param("--threshold", float, "high-probability threshold", "0.95", _UNIT_OPEN),
+        Param("--threshold", float, "high-probability threshold", "0.95", require_open_unit),
         WORKERS,
         FORMAT._replace(default="csv"),
         OUTPUT,
@@ -354,7 +345,7 @@ COMMANDS = {
         SIGMA,
         RADIUS,
         Param("--n", int, "number of draws, at least 100", "100000",
-              _rule(lambda v: v >= 100, "must be an integer >= 100")),
+              partial(require_count, minimum=100)),
         SEED,
         WORKERS,
         FORMAT._replace(default="text"),

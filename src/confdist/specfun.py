@@ -162,8 +162,9 @@ def bessel_i0_scaled(x: float) -> float:
 
     For x > 50 uses the asymptotic series
     (2 pi x)^{-1/2} * sum_k a_k / x^k with a_k = ((2k-1)!!)^2 / (k! 8^k),
-    truncated at the smallest term; below that, exp(-x) times the power
-    series. Relative error <= 1e-12.
+    whose terms fall for every k < 60 (by a ratio below 0.6), summed to
+    1e-17 of the total; below that, exp(-x) times the power series.
+    Relative error <= 1e-12.
     """
     x = require_nonnegative("x", x)
     if x <= _I0_SERIES_LIMIT:
@@ -171,10 +172,7 @@ def bessel_i0_scaled(x: float) -> float:
     term = 1.0
     total = 1.0
     for k in range(1, 60):
-        nxt = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if nxt >= term:
-            break  # asymptotic: stop once terms grow
-        term = nxt
+        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
         total += term
         if term < total * 1e-17:
             break

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+import confdist.cli
+from confdist import ConvergenceError, DomainError
 from confdist.cli import (
     ANALYZE_HEADER,
     CURVE_HEADER,
@@ -29,6 +31,33 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
         code = int(exc.code or 0)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ANALYZE = ("analyze", "--norm", "5", "--sigma", "2.5", "--radius", "2")
+SWEEP = ("sweep", "--n-reps", "10")
+PIT = ("pit", "--delta-true", "2", "--sigma", "2.5", "--radius", "2", "--n", "100")
+
+
+@pytest.mark.parametrize("argv, named, value", [
+    (ANALYZE + ("--norm", "-1"), "--norm", "-1.0"),
+    (("analyze", "--y1", "nan", "--y2", "4", "--sigma", "2.5", "--radius", "2"), "--y1", "nan"),
+    (ANALYZE + ("--sigma", "0"), "--sigma", "0.0"),
+    (ANALYZE + ("--radius", "-2"), "--radius", "-2.0"),
+    (ANALYZE + ("--level", "1"), "--level", "1.0"),
+    (SWEEP + ("--delta-true", "-1"), "--delta-true", "-1.0"),
+    (SWEEP + ("--threshold", "0"), "--threshold", "0.0"),
+    (SWEEP + ("--seed", "-1"), "--seed", "-1"),
+    (SWEEP + ("--workers", "0"), "--workers", "0"),
+    (SWEEP + ("--n-reps", "0"), "--n-reps", "0"),
+    (SWEEP + ("--sigma-grid", "1,-2"), "sigma_grid", "-2.0"),
+    (SWEEP + ("--sigma-grid", "2,1"), "sigma_grid", "(2.0, 1.0)"),
+    (PIT + ("--n", "99"), "--n", "99"),
+])
+def test_bad_value_names_flag_and_value(capsys, argv, named, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+    assert err.endswith(f", got {value}\n")
 
 
 class TestAnalyze:
@@ -99,6 +128,25 @@ class TestAnalyze:
         )
         assert code == 2 and "--level" in err
 
+    def test_read_rejects_two_rows(self, capsys):
+        _, out, _ = run_cli(capsys, *ANALYZE, "--format", "csv")
+        with pytest.raises(UsageError, match="exactly one analyze CSV row"):
+            read_analyze_csv(out + out.splitlines()[1] + "\n")
+
+    def test_y1_needs_y2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--y1", "3", "--sigma", "2.5", "--radius", "2")
+        assert code == 2 and out == ""
+        assert err == "error: provide --norm, or both --y1 and --y2\n"
+
+    def test_numerical_failure_exits_1(self, capsys, monkeypatch):
+        def stalled(obs, method):
+            raise ConvergenceError("median stalled")
+
+        monkeypatch.setattr(confdist.cli, "median", stalled)
+        code, out, err = run_cli(capsys, *ANALYZE)
+        assert code == 1 and out == ""
+        assert err == "numerical failure: median stalled\n"
+
     @pytest.mark.parametrize("argv", [
         ("analyze", "--norm", "1e200", "--sigma", "1", "--radius", "1"),
         ("analyze", "--norm", "1", "--sigma", "1e-200", "--radius", "1"),
@@ -167,6 +215,25 @@ class TestCurve:
         # C(0) = exp(-|y|^2 / (2 sigma^2)) = exp(-2) and cc = 1 - 2 C(0)
         assert lines[1].split() == ["0", "0", "0.135335", "0.729329", "1"]
         assert lines[3].split()[:3] == ["2", "0.0495182", "0.221495"]
+
+    def test_read_rejects_header_and_empty_table(self):
+        with pytest.raises(UsageError, match="unexpected CSV header 'delta,B'"):
+            read_curve_csv("delta,B\n0,0\n")
+        with pytest.raises(UsageError, match="curve CSV has no rows"):
+            read_curve_csv(CURVE_HEADER + "\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0,0.1,0.8,1", "0,0.01,0.2,0.6,0.98"], "delta grid must be nonnegative and strictly"),
+        (["0,0,0.1,0.8,1", "1,1.5,0.2,0.6,2"], "b must stay within"),
+        (["0,0.3,0.4,0.2,0.4", "1,0.01,0.4,0.2,0.98"], "b must be nondecreasing"),
+        (["0,0,0.1,0.8,1", "1,0.01,0.2,0.5,0.98"], "cc column is inconsistent"),
+        (["0,0,0.1,0.8,1", "1,0.01,0.2,0.6,0.9"], "cred column is inconsistent"),
+        (["0,0,0.1,0.8,1", "1,nan,0.2,0.6,0.98"], "b must be a nonempty finite"),
+    ])
+    def test_read_rejects_inconsistent_table(self, rows, message):
+        # each table breaks one CurveTable rule and passes the others
+        with pytest.raises(DomainError, match=message):
+            read_curve_csv("\n".join([CURVE_HEADER, *rows, ""]))
 
     def test_read_rejects_ragged_row(self):
         text = CURVE_HEADER + "\n0,0,0.1,0.8,1\n1,0.01,0.2\n"
@@ -405,6 +472,26 @@ class TestConfigAndOutput:
         cfg.write_text("norm 5\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2
+
+    def test_config_value_failing_its_cast(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("norm = 5\nsigma = abc\nradius = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: config value 'abc' is invalid for --sigma\n"
+
+    def test_config_format_outside_choices(self, capsys, tmp_path):
+        # argparse checks the choices of a flag; _resolve those of a config value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("norm = 5\nsigma = 2.5\nradius = 2\nformat = yaml\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: --format must be one of text, csv, json\n"
+
+    def test_output_naming_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *ANALYZE, "--output", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --output: cannot write {tmp_path}: ")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
