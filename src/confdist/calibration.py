@@ -36,7 +36,6 @@ from .specfun import (
     require_open_unit,
     require_positive,
     require_squared_ratio,
-    upper_bracket,
 )
 
 __all__ = [
@@ -187,24 +186,14 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     mean_bayes = min(p + g, 1.0)
     mean_cd = min(p + 0.5 * g, 1.0)
 
-    # Bayes side: 1 - B = 1 - Gamma2(x0, z), increasing in z with infimum
-    # 1 - Gamma2(x0, 0) = exp(-x0/2); threshold below the infimum means
-    # every realization exceeds it.
-    if noncentral_chisq2_cdf(x0, 0.0) <= 1.0 - threshold:
-        freq_bayes = 1.0
-    else:
-        noncol = lambda v: 1.0 - noncentral_chisq2_cdf(x0, v)
-        hi = upper_bracket(
-            noncol, threshold, nu0 + x0 + 10.0, f"the Bayes-side threshold at sigma={sigma!r}"
-        )
-        nu_star = invert_monotone(noncol, threshold, 0.0, hi)
-        freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
-
-    # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1, so
-    # the crossing always exists.
-    noncol = lambda z: noncentral_chisq2_cdf(z, x0)
-    hi = upper_bracket(noncol, threshold, x0 + 20.0, f"the CD-side threshold at sigma={sigma!r}")
-    z_star = invert_monotone(noncol, threshold, 0.0, hi)
+    # Bayes side: 1 - B = 1 - Gamma2(x0, z), increasing in z from
+    # exp(-x0/2) at z = 0; a threshold at or below that gives the root 0,
+    # and G2(0, nu0) = 0 then makes the frequency exactly 1.
+    # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1.
+    nu_star = invert_monotone(lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold,
+                              0.0, nu0 + x0 + 10.0)
+    freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
+    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold, 0.0, x0 + 20.0)
     freq_cd = 1.0 - noncentral_chisq2_cdf(z_star, nu0)
 
     return ExactRow(mean_bayes, mean_cd, freq_bayes, freq_cd)

@@ -113,7 +113,7 @@ def _grid(flag: str, text: str) -> np.ndarray:
     except ValueError:
         raise UsageError(f"{flag} must look like lo:hi:n with numeric parts, got {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or count < 2:
-        raise UsageError(f"{flag} needs 0 <= lo < hi and n >= 2")
+        raise UsageError(f"{flag} needs 0 <= lo < hi and n >= 2, got {text!r}")
     return np.linspace(lo, hi, count)
 
 

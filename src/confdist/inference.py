@@ -23,6 +23,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from .specfun import (
+    ROOT_TOL,
     DomainError,
     _cdf_grid,
     invert_monotone,
@@ -32,7 +33,6 @@ from .specfun import (
     require_open_unit,
     require_positive,
     require_squared_ratio,
-    upper_bracket,
 )
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 Method = Literal["bayes", "cd"]
-
-ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,11 +128,9 @@ def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
     # guaranteed by callers. The tolerance shrinks with the scale
     # |y| + sigma below 1, so roots stay scale-equivariant however small
     # the inputs are.
-    cdf = _cdf_callable(obs, method)
-    if cdf(0.0) >= p:
-        return 0.0, True
-    hi = upper_bracket(cdf, p, obs.norm + 10.0 * obs.sigma, f"{method} quantile {p!r}")
-    return invert_monotone(cdf, p, 0.0, hi, tol=ROOT_TOL * min(1.0, obs.norm + obs.sigma)), False
+    root = invert_monotone(_cdf_callable(obs, method), p, 0.0, obs.norm + 10.0 * obs.sigma,
+                           ROOT_TOL * min(1.0, obs.norm + obs.sigma))
+    return root, root == 0.0
 
 
 class MedianResult(NamedTuple):

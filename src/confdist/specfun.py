@@ -2,10 +2,13 @@
 
 Self-contained implementations of the modified Bessel function I0, the
 noncentral chi-square CDF with 2 degrees of freedom (scalar, and broadcast
-over arrays), and a bisection-based inverter for monotone CDFs. All of it
-is deterministic: a float series for small arguments (with a numpy twin
-for arrays), and one fixed Gauss-Legendre rule for large ones that scalar
-and array calls share. The accuracy contracts are stated per function.
+over arrays), and the one root solver: invert_monotone, the generalized
+inverse inf{x >= lo : f(x) >= target} of a nondecreasing f, which finds
+its own upper bracket and returns lo for a target an atom at lo covers.
+All of it is deterministic: a float series for small arguments (with a
+numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
+that scalar and array calls share. The accuracy contracts are stated per
+function; a root comes within tol, by default ROOT_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class DomainError(ValueError):
 
 
 class BracketError(ValueError):
-    """The target value is not bracketed by f(lo) and f(hi)."""
+    """A nondecreasing function never reaches the target value."""
 
 
 class ConvergenceError(RuntimeError):
@@ -44,6 +47,8 @@ _EXP_LIMIT = 700.0
 _POISSON_TAIL = 1e-14
 # [0, 1] results may stray this far outside before we call it a failure
 _PROB_SLACK = 1e-9
+# absolute root tolerance of invert_monotone
+ROOT_TOL = 1e-10
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
 _DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu
@@ -300,7 +305,7 @@ def _cdf_grid(x, nu) -> np.ndarray:
             break  # remaining factors vanish at float precision
         acc += w * g
         if k > 100000:
-            raise ConvergenceError(f"vector mixture series stalled at nu up to {nu.max()!r}")
+            raise ConvergenceError(f"vector mixture series stalled at nu up to {float(nu.max())!r}")
     large = np.maximum(x, nu) > _DIRECT_LIMIT
     acc[large] = _g2_rice(np.broadcast_to(x, shape)[large], np.broadcast_to(nu, shape)[large])
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
@@ -309,31 +314,22 @@ def _cdf_grid(x, nu) -> np.ndarray:
     return np.clip(acc, 0.0, 1.0)
 
 
-def upper_bracket(
-    f: Callable[[float], float], target: float, start: float, what: str
-) -> float:
-    """First hi = start * 2^k (k < 200) with f(hi) >= target: the upper
-    end of an invert_monotone bracket for a nondecreasing f."""
-    hi = start
-    for _ in range(200):
-        if f(hi) >= target:
-            return hi
-        hi *= 2.0
-    raise ConvergenceError(f"no upper bracket for {what}")
-
-
 def invert_monotone(
     f: Callable[[float], float],
     target: float,
     lo: float,
     hi: float,
-    tol: float = 1e-10,
+    tol: float = ROOT_TOL,
 ) -> float:
-    """Solve f(x) = target for a nondecreasing f on [lo, hi] by bisection.
+    """inf{x >= lo : f(x) >= target} for a nondecreasing f, by bisection.
 
-    Raises BracketError unless f(lo) <= target <= f(hi). Stops when the
-    bracket width drops below tol (or float resolution, whichever comes
-    first) and returns the bracket midpoint.
+    Returns lo itself when f(lo) >= target, so an atom of a CDF at lo
+    needs no special case. Otherwise hi is a first guess: the bracket
+    [lo, hi] doubles in width, at most 200 times, until f(hi) >= target,
+    and BracketError names the target and the last hi if it never gets
+    there. Bisection of [lo, hi] stops when the bracket width drops below
+    tol (or float resolution, whichever comes first) and returns the
+    bracket midpoint.
     """
     lo = float(lo)
     hi = float(hi)
@@ -341,12 +337,14 @@ def invert_monotone(
         raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     if not (math.isfinite(target) and float(tol) > 0.0):
         raise DomainError(f"target must be finite and tol positive, got {target!r}, {tol!r}")
-    flo = f(lo)
-    fhi = f(hi)
-    if not (flo <= target <= fhi):
-        raise BracketError(
-            f"target {target!r} not bracketed: f({lo!r})={flo!r}, f({hi!r})={fhi!r}"
-        )
+    if f(lo) >= target:
+        return lo
+    doublings = 0
+    while f(hi) < target:
+        if doublings == 200:
+            raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
+        hi += hi - lo
+        doublings += 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

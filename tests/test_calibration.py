@@ -20,6 +20,8 @@ from confdist import (
     pit_sample,
     run_sweep,
 )
+from confdist import calibration
+from confdist.specfun import noncentral_chisq2_cdf
 from oracles import mp_exact_means
 
 # Exact sweep quantities for delta_true = 1.99, radius = 2.00 on part of
@@ -137,6 +139,13 @@ class TestExactRow:
         scen = Scenario(2.0, 8.0, 2.0)
         assert exact_row(scen, threshold=0.95).freq_bayes == 1.0
         assert exact_row(scen, threshold=0.98).freq_bayes < 1.0
+
+    def test_evaluates_no_g2_pair_twice(self, monkeypatch):
+        pairs = []
+        monkeypatch.setattr(calibration, "noncentral_chisq2_cdf",
+                            lambda x, nu: pairs.append((x, nu)) or noncentral_chisq2_cdf(x, nu))
+        exact_row(Scenario(1.99, 1.0, 2.0))
+        assert len(pairs) > 60 and len(set(pairs)) == len(pairs)
 
     def test_threshold_validation(self):
         with pytest.raises(DomainError):

@@ -52,6 +52,8 @@ PIT = ("pit", "--delta-true", "2", "--sigma", "2.5", "--radius", "2", "--n", "10
     (SWEEP + ("--sigma-grid", "1,-2"), "sigma_grid", "-2.0"),
     (SWEEP + ("--sigma-grid", "2,1"), "sigma_grid", "(2.0, 1.0)"),
     (PIT + ("--n", "99"), "--n", "99"),
+    (("curve", "--norm", "5", "--sigma", "2.5", "--grid", "5:1:10"), "--grid", "'5:1:10'"),
+    (("curve", "--norm", "5", "--sigma", "2.5", "--grid=-1:4:10"), "--grid", "'-1:4:10'"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)

@@ -19,6 +19,7 @@ from confdist import (
     noncollision_pvalue,
     tabulate_curves,
 )
+from confdist import inference
 from confdist.specfun import bessel_i0_scaled, noncentral_chisq2_cdf
 
 # Reference case used throughout: |y| = 5.00, sigma = 2.50, radius = 2.00.
@@ -188,6 +189,14 @@ class TestSummaries:
         with pytest.raises(DomainError):
             level_interval(obs, "frequentist", 0.9)
 
+    @pytest.mark.parametrize("method", ["bayes", "cd"])
+    def test_median_evaluates_no_g2_pair_twice(self, monkeypatch, obs, method):
+        pairs = []
+        monkeypatch.setattr(inference, "noncentral_chisq2_cdf",
+                            lambda x, nu: pairs.append((x, nu)) or noncentral_chisq2_cdf(x, nu))
+        median(obs, method)
+        assert len(pairs) > 30 and len(set(pairs)) == len(pairs)
+
 
 class TestCollisionQuantities:
     def test_reference_value(self, obs):
@@ -353,3 +362,5 @@ class TestTabulateCurves:
                 cc=table.cc,
                 cred=table.cred,
             )
+        with pytest.raises(DomainError, match="share the grid length"):
+            CurveTable(delta=table.delta, b=table.b[:-1], c=table.c, cc=table.cc, cred=table.cred)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -22,7 +23,6 @@ from confdist.specfun import (
     require_nonnegative,
     require_open_unit,
     require_positive,
-    upper_bracket,
 )
 from oracles import mc_gamma2, mp_g2, rice_g2
 
@@ -202,6 +202,29 @@ class TestNoncentralChisq2Cdf:
             with pytest.raises(DomainError):
                 noncentral_chisq2_cdf(1.0, bad)
 
+    def test_result_clamped_or_rejected_outside_unit_interval(self, monkeypatch):
+        for raw, want in ((-5e-10, 0.0), (1.0 + 5e-10, 1.0), (-1e-8, None), (1.5, None)):
+            monkeypatch.setattr(specfun, "_cdf_series_direct", lambda lam, h: raw)
+            if want is None:
+                with pytest.raises(ConvergenceError, match=r"noncentral_chisq2_cdf\(1.0, 1.0\)"):
+                    noncentral_chisq2_cdf(1.0, 1.0)
+            else:
+                assert noncentral_chisq2_cdf(1.0, 1.0) == want
+
+    def test_series_stall_guards(self, monkeypatch):
+        # with no tail bound the loops run until the Poisson(h) CDF reaches 1,
+        # which it misses by a few ulps at these x
+        monkeypatch.setattr(specfun, "_POISSON_TAIL", -1.0)
+        with pytest.raises(ConvergenceError, match="mixture series stalled"):
+            noncentral_chisq2_cdf(14.5, 1.0)
+        with pytest.raises(ConvergenceError, match="vector mixture series stalled"):
+            _cdf_grid(np.array([5.5, 8.0, 13.5, 14.5]), 1.0)
+
+    def test_vector_result_outside_unit_interval(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, 1.5))
+        with pytest.raises(ConvergenceError, match=r"vector G2 left \[0, 1\]"):
+            _cdf_grid(np.array([1.0, 2000.0]), 1.0)
+
 
 class TestLargeArgumentWindow:
     def test_rice_oracle_agrees_with_mixture_oracle_and_anchors(self):
@@ -326,11 +349,36 @@ class TestInvertMonotone:
         assert abs(invert_monotone(lambda v: v, 0.0, 0.0, 1.0)) <= 1e-9
         assert abs(invert_monotone(lambda v: v, 1.0, 0.0, 1.0) - 1.0) <= 1e-9
 
-    def test_bracket_error(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda v: v, 11.0, 0.0, 10.0)
-        with pytest.raises(BracketError):
-            invert_monotone(lambda v: v, -1.0, 0.0, 10.0)
+    def test_evaluation_order(self):
+        # f(lo) first, then hi doubling until f(hi) >= target, then bisection
+        # of [lo, hi] from the caller's lo
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return v
+
+        got = invert_monotone(f, 10.0, 0.0, 1.5)
+        assert calls[:5] == [0.0, 1.5, 3.0, 6.0, 12.0]
+        lo, hi, mids = 0.0, 12.0, []
+        while hi - lo > 1e-10:
+            mids.append(0.5 * (lo + hi))
+            lo, hi = (mids[-1], hi) if mids[-1] < 10.0 else (lo, mids[-1])
+        assert calls[5:] == mids and mids[:3] == [6.0, 9.0, 10.5]
+        assert got == 0.5 * (lo + hi) and abs(got - 10.0) <= 1e-10
+
+    def test_target_covered_at_lo_returns_lo(self):
+        for target in (-1.0, 0.25):
+            calls = []
+            assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target, 0.0, 10.0) == 0.0
+            assert calls == [0.0]
+        assert invert_monotone(lambda v: v, 2.0, 2.0, 5.0) == 2.0
+
+    def test_unreachable_target(self):
+        calls = []
+        with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({2.0 ** 200!r})")):
+            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 0.0, 1.0)
+        assert calls == [0.0] + [2.0 ** k for k in range(201)]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -343,23 +391,6 @@ class TestInvertMonotone:
     def test_tiny_tolerance_terminates(self):
         got = invert_monotone(lambda v: v * v, 2.0, 0.0, 10.0, tol=1e-300)
         assert abs(got - math.sqrt(2.0)) <= 1e-15
-
-
-class TestUpperBracket:
-    def test_first_doubling_that_reaches_target(self):
-        calls = []
-
-        def f(v):
-            calls.append(v)
-            return v
-
-        assert upper_bracket(f, 10.0, 1.5, "test") == 12.0
-        assert calls == [1.5, 3.0, 6.0, 12.0]
-        assert upper_bracket(f, 1.0, 1.5, "test") == 1.5
-
-    def test_unreachable_target(self):
-        with pytest.raises(ConvergenceError, match="no upper bracket for test"):
-            upper_bracket(lambda v: 0.0, 1.0, 1.0, "test")
 
 
 class TestArgumentChecks:
