@@ -24,7 +24,6 @@ import numpy as np
 # unused: kept until the benchmark stops timing its import (ROADMAP item 1)
 import scipy.integrate  # noqa: F401
 
-from .inference import Observation
 from .specfun import (
     DomainError,
     _cdf_grid,
@@ -44,7 +43,6 @@ __all__ = [
     "CalibrationRow",
     "ExactRow",
     "PitSummary",
-    "draw_observation",
     "run_sweep",
     "exact_row",
     "pit_sample",
@@ -136,13 +134,6 @@ class PitSummary:
             raise DomainError("histogram must have 20 bins summing to n")
 
 
-def draw_observation(scenario: Scenario, rng: np.random.Generator) -> Observation:
-    """One observation y ~ N((delta_true, 0), sigma^2 I) from the given
-    generator (two consecutive normal deviates)."""
-    y1, y2 = rng.normal((scenario.delta_true, 0.0), scenario.sigma)
-    return Observation(float(y1), float(y2), scenario.sigma)
-
-
 def _squared_norm_ratios(
     scenario: Scenario,
     seed: int,
@@ -211,7 +202,9 @@ def run_sweep(
     non-collision probabilities 1 - B(R|Y) and 1 - C(R|Y) per replicate,
     and summarizes them alongside their exact twins. workers is validated
     and otherwise ignored: sampling is one vector draw per sigma, so
-    outputs are identical for any worker count.
+    outputs are identical for any worker count. It stays in the signature
+    because the CLI passes --workers through it, which is where the
+    benchmark's tracer reads the worker count of each sweep.
     """
     require_count("workers", workers, 1)
     n = config.n_reps
@@ -256,19 +249,16 @@ def pit_sample(
     scenario: Scenario,
     n: int,
     seed: int,
-    workers: int = 1,
 ) -> PitSummary:
     """Distribution of U = 1 - C(R|Y) over n fresh draws.
 
     U is uniform on (0, 1) exactly when delta_true equals the radius;
     smaller true distances shift it left, larger ones right. Reports the
     two-sided KS statistic against uniformity, a 20-bin histogram, and the
-    sample mean. workers is validated and otherwise ignored, as in
-    run_sweep.
+    sample mean.
     """
     n = require_count("n", n, 100)
     seed = require_count("seed", seed, 0)
-    require_count("workers", workers, 1)
     z = _squared_norm_ratios(scenario, seed, (), n)
     x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
     u = _cdf_grid(z, x0)

@@ -275,7 +275,7 @@ def _sweep(v: argparse.Namespace) -> str:
 
 
 def _pit(v: argparse.Namespace) -> str:
-    summary = pit_sample(Scenario(v.delta_true, v.sigma, v.radius), v.n, v.seed, workers=v.workers)
+    summary = pit_sample(Scenario(v.delta_true, v.sigma, v.radius), v.n, v.seed)
     critical = KS_CRITICAL_1PCT / math.sqrt(summary.n)
     consistent = summary.ks_stat <= critical
     columns = PIT_HEADER.split(",")

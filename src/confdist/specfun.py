@@ -1,10 +1,11 @@
 """Special functions underpinning the distance-inference routines.
 
-Self-contained implementations of the modified Bessel function I0, the
-noncentral chi-square CDF with 2 degrees of freedom (scalar, and broadcast
-over arrays), and the one root solver: invert_monotone, the generalized
-inverse inf{x >= lo : f(x) >= target} of a nondecreasing f, which finds
-its own upper bracket and returns lo for a target an atom at lo covers.
+Self-contained implementations of the scaled modified Bessel function
+exp(-x) I0(x), the noncentral chi-square CDF with 2 degrees of freedom
+(scalar, and broadcast over arrays), and the one root solver:
+invert_monotone, the generalized inverse inf{x >= lo : f(x) >= target} of
+a nondecreasing f, which finds its own upper bracket and returns lo for a
+target an atom at lo covers.
 All of it is deterministic: a float series for small arguments (with a
 numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
 that scalar and array calls share. The accuracy contracts are stated per
@@ -22,7 +23,6 @@ __all__ = [
     "DomainError",
     "BracketError",
     "ConvergenceError",
-    "bessel_i0",
     "bessel_i0_scaled",
     "noncentral_chisq2_cdf",
     "invert_monotone",
@@ -131,37 +131,6 @@ def require_count(name: str, value: int, minimum: int) -> int:
     return int(value)
 
 
-def _i0_power_series(x: float) -> float:
-    # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while term > total * 1e-17:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if k > 1000:
-            raise ConvergenceError(f"I0 power series stalled at x={x!r}")
-    return total
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series for x <= 50; exp(x) times the scaled asymptotic form above.
-    Relative error <= 1e-12 over the representable range. Overflows (like
-    exp does) near x = 713; use bessel_i0_scaled when that matters.
-    """
-    x = require_nonnegative("x", x)
-    if x <= _I0_SERIES_LIMIT:
-        return _i0_power_series(x)
-    scaled = bessel_i0_scaled(x)
-    if x <= _EXP_LIMIT:
-        return math.exp(x) * scaled
-    return math.exp(x + math.log(scaled))
-
-
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x), safe for arbitrarily large x.
 
@@ -173,7 +142,18 @@ def bessel_i0_scaled(x: float) -> float:
     """
     x = require_nonnegative("x", x)
     if x <= _I0_SERIES_LIMIT:
-        return math.exp(-x) * _i0_power_series(x)
+        # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation
+        q = 0.25 * x * x
+        term = 1.0
+        total = 1.0
+        k = 0
+        while term > total * 1e-17:
+            k += 1
+            term *= q / (k * k)
+            total += term
+            if k > 1000:
+                raise ConvergenceError(f"I0 power series stalled at x={x!r}")
+        return math.exp(-x) * total
     term = 1.0
     total = 1.0
     for k in range(1, 60):
@@ -324,12 +304,13 @@ def invert_monotone(
     """inf{x >= lo : f(x) >= target} for a nondecreasing f, by bisection.
 
     Returns lo itself when f(lo) >= target, so an atom of a CDF at lo
-    needs no special case. Otherwise hi is a first guess: the bracket
-    [lo, hi] doubles in width, at most 200 times, until f(hi) >= target,
-    and BracketError names the target and the last hi if it never gets
-    there. Bisection of [lo, hi] stops when the bracket width drops below
-    tol (or float resolution, whichever comes first) and returns the
-    bracket midpoint.
+    needs no special case. Otherwise hi is a first guess: while
+    f(hi) < target, lo moves up to hi and hi to lo + 2^k (hi - lo) for the
+    caller's lo and hi, at most 200 times, and BracketError names the
+    target and the last hi if f never gets there. Each point is evaluated
+    once. Bisection of the last [lo, hi] stops when the bracket width
+    drops below tol (or float resolution, whichever comes first) and
+    returns the bracket midpoint.
     """
     lo = float(lo)
     hi = float(hi)
@@ -339,11 +320,12 @@ def invert_monotone(
         raise DomainError(f"target must be finite and tol positive, got {target!r}, {tol!r}")
     if f(lo) >= target:
         return lo
+    lo0 = lo
     doublings = 0
     while f(hi) < target:
         if doublings == 200:
             raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
-        hi += hi - lo
+        lo, hi = hi, hi + (hi - lo0)
         doublings += 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

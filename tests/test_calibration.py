@@ -14,7 +14,6 @@ from confdist import (
     Scenario,
     SweepConfig,
     bayes_cdf,
-    draw_observation,
     exact_row,
     noncollision_pvalue,
     pit_sample,
@@ -68,34 +67,32 @@ class TestScenarioAndConfig:
             SweepConfig(sigma_grid=(1.0,), n_reps=10, seed=0, threshold=1.0)
 
 
-class TestDrawObservation:
+class TestSquaredNormRatios:
     def test_moments(self):
+        # z = |y|^2 / sigma^2 is noncentral chi-square with 2 df and
+        # noncentrality nu0 = (delta/sigma)^2: E z = nu0 + 2, Var z = 4 + 4 nu0,
+        # and the sample variance has variance (k4 + 2 Var^2)/n with the
+        # fourth cumulant k4 = 48 (2 + 4 nu0)
         scen = Scenario(1.99, 1.0, 2.0)
-        rng = np.random.default_rng(42)
         n = 100_000
-        sq = np.empty(n)
-        for i in range(n):
-            o = draw_observation(scen, rng)
-            sq[i] = o.norm ** 2
-        # |y|^2 / sigma^2 is noncentral chi-square with 2 df, so
-        # E = delta^2 + 2 sigma^2 and Var = 2 sigma^4 (2 + 2 delta^2/sigma^2).
-        mean_expected = scen.delta_true ** 2 + 2.0 * scen.sigma ** 2
-        var = 2.0 * scen.sigma ** 4 * (2.0 + 2.0 * (scen.delta_true / scen.sigma) ** 2)
-        assert abs(sq.mean() - mean_expected) <= 4.0 * math.sqrt(var / n)
+        z = calibration._squared_norm_ratios(scen, 42, (0,), n)
+        nu0 = (scen.delta_true / scen.sigma) ** 2
+        var = 4.0 + 4.0 * nu0
+        assert abs(z.mean() - (nu0 + 2.0)) <= 4.0 * math.sqrt(var / n)
+        k4 = 48.0 * (2.0 + 4.0 * nu0)
+        assert abs(z.var(ddof=1) - var) <= 4.0 * math.sqrt((k4 + 2.0 * var * var) / n)
 
     def test_tiny_noise_concentrates(self):
         scen = Scenario(3.0, 1e-9, 2.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            o = draw_observation(scen, rng)
-            assert abs(o.norm - 3.0) < 1e-7
-            assert o.sigma == 1e-9
+        z = calibration._squared_norm_ratios(scen, 0, (), 10)
+        assert np.all(np.abs(np.sqrt(z) * scen.sigma - 3.0) < 1e-7)
 
-    def test_deterministic_given_generator_state(self):
+    def test_deterministic_given_seed_and_key(self):
         scen = Scenario(1.5, 0.8, 2.0)
-        a = draw_observation(scen, np.random.default_rng(123))
-        b = draw_observation(scen, np.random.default_rng(123))
-        assert a == b
+        a = calibration._squared_norm_ratios(scen, 123, (1,), 50)
+        assert np.array_equal(a, calibration._squared_norm_ratios(scen, 123, (1,), 50))
+        for other in ((), (0,), (2,), (1, 0)):
+            assert not np.array_equal(a, calibration._squared_norm_ratios(scen, 123, other, 50))
 
 
 class TestExactRow:
@@ -223,11 +220,10 @@ class TestPitSample:
         assert pit_sample(Scenario(1.0, 2.5, 2.0), 5000, 1).mean_u < 0.45
         assert pit_sample(Scenario(4.0, 2.5, 2.0), 5000, 1).mean_u > 0.55
 
-    def test_histogram_structure_and_worker_determinism(self):
+    def test_histogram_structure_and_repeat_determinism(self):
         scen = Scenario(2.0, 2.5, 2.0)
         a = pit_sample(scen, 2000, 5)
-        b = pit_sample(scen, 2000, 5, workers=4)
-        assert a == b
+        assert a == pit_sample(scen, 2000, 5)
         assert len(a.histogram) == 20
         assert sum(a.histogram) == 2000
         assert all(count >= 0 for count in a.histogram)
@@ -292,7 +288,7 @@ class TestSamplingContract:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert (run_sweep(1.99, 2.0, cfg, workers=4), pit_sample(scen, 500, 3, workers=4)) == base
+        assert (run_sweep(1.99, 2.0, cfg, workers=4), pit_sample(scen, 500, 3)) == base
 
 
 class TestScaleEquivariance:

@@ -320,12 +320,14 @@ class TestSweep:
             assert err.startswith("error:")
 
     def test_byte_determinism_across_workers(self, capsys):
-        argv = ("sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "4000",
-                "--seed", "9", "--format", "csv")
-        _, base, _ = run_cli(capsys, *argv)
-        _, again, _ = run_cli(capsys, *argv)
-        _, threaded, _ = run_cli(capsys, *argv, "--workers", "3")
-        assert base == again == threaded
+        for argv in (("sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "4000",
+                      "--seed", "9", "--format", "csv"),
+                     ("pit", "--delta-true", "2", "--sigma", "2.5", "--radius", "2",
+                      "--n", "2000", "--seed", "9", "--format", "json")):
+            code, base, _ = run_cli(capsys, *argv)
+            _, again, _ = run_cli(capsys, *argv)
+            _, threaded, _ = run_cli(capsys, *argv, "--workers", "3")
+            assert code == 0 and base == again == threaded, argv
 
     def test_subprocess_matches_in_process(self, capsys):
         argv = ("sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "5000",
