@@ -26,15 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calibration import (
-    CalibrationRow,
-    Scenario,
-    SweepConfig,
-    pit_sample,
-    run_sweep,
-)
+from .calibration import Scenario, SweepConfig, pit_sample, run_sweep
 from .inference import (
-    CurveTable,
     Observation,
     bayes_cdf,
     collision_confidence,
@@ -54,14 +47,7 @@ from .specfun import (
     require_positive,
 )
 
-__all__ = [
-    "main",
-    "UsageError",
-    "read_analyze_csv",
-    "read_curve_csv",
-    "read_pit_csv",
-    "read_sweep_csv",
-]
+__all__ = ["main", "UsageError"]
 
 # numerator of the two-sided 1% KS critical value
 KS_CRITICAL_1PCT = 1.63
@@ -352,59 +338,6 @@ COMMANDS = {
         OUTPUT,
     )),
 }
-
-
-def _read_csv(text: str, header: str, kind: str, casts: list[Callable[[str], object]]) -> list:
-    """The rows of a CSV table written by this CLI, each cell cast by column."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        raise UsageError(f"unexpected CSV header {(lines or [''])[0]!r}")
-    rows = []
-    for line in filter(None, lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(casts):
-            raise UsageError(f"{kind} CSV rows must have {len(casts)} columns")
-        try:
-            rows.append([cast(cell) for cast, cell in zip(casts, cells)])
-        except ValueError as exc:
-            raise UsageError(f"{kind} CSV row {line!r} is malformed: {exc}")
-    return rows
-
-
-def read_curve_csv(text: str) -> CurveTable:
-    """Parse cmd_curve CSV output back into a CurveTable."""
-    rows = _read_csv(text, CURVE_HEADER, "curve", [float] * 5)
-    if not rows:
-        raise UsageError("curve CSV has no rows")
-    return CurveTable(*np.array(rows).T)
-
-
-def read_sweep_csv(text: str) -> list[CalibrationRow]:
-    """Parse cmd_sweep CSV output back into CalibrationRows.
-
-    The pinned CSV schema omits the frequency standard errors, so those
-    two fields come back as NaN.
-    """
-    return [
-        CalibrationRow(*values, stderr_freq_bayes=math.nan, stderr_freq_cd=math.nan)
-        for values in _read_csv(text, SWEEP_HEADER, "sweep", [float] * 11)
-    ]
-
-
-def read_pit_csv(text: str) -> list[tuple[float, float, int]]:
-    """Parse cmd_pit histogram CSV into (bin_lo, bin_hi, count) rows."""
-    return [tuple(row) for row in _read_csv(text, PIT_HEADER, "pit", [float, float, int])]
-
-
-def read_analyze_csv(text: str) -> dict:
-    """Parse cmd_analyze CSV output into a field dict."""
-    keys = ANALYZE_HEADER.split(",")
-    flags = ("_at_boundary", "_clipped")
-    casts = [(lambda cell: cell == "true") if key.endswith(flags) else float for key in keys]
-    rows = _read_csv(text, ANALYZE_HEADER, "analyze", casts)
-    if len(rows) != 1:
-        raise UsageError("expected exactly one analyze CSV row")
-    return dict(zip(keys, rows[0]))
 
 
 def _help(p: Param) -> str:

@@ -188,32 +188,6 @@ class CurveTable:
     cc: np.ndarray
     cred: np.ndarray
 
-    def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("delta", "b", "c", "cc", "cred"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be a nonempty finite 1-d array")
-            arrays[name] = arr
-            setattr(self, name, arr)
-        n = arrays["delta"].size
-        if any(a.size != n for a in arrays.values()):
-            raise DomainError("curve columns must share the grid length")
-        if arrays["delta"][0] < 0.0 or np.any(np.diff(arrays["delta"]) <= 0.0):
-            raise DomainError("delta grid must be nonnegative and strictly increasing")
-        for name in ("b", "c"):
-            col = arrays[name]
-            if col.min() < -1e-12 or col.max() > 1.0 + 1e-12:
-                raise DomainError(f"{name} must stay within [0, 1]")
-            if np.any(np.diff(col) < -1e-9):
-                raise DomainError(f"{name} must be nondecreasing along the grid")
-        # derived columns must match their definitions (loose enough to
-        # survive a 10-significant-digit round trip through CSV)
-        if np.max(np.abs(arrays["cc"] - np.abs(1.0 - 2.0 * arrays["c"]))) > 1e-8:
-            raise DomainError("cc column is inconsistent with the c column")
-        if np.max(np.abs(arrays["cred"] - np.abs(1.0 - 2.0 * arrays["b"]))) > 1e-8:
-            raise DomainError("cred column is inconsistent with the b column")
-
 
 def tabulate_curves(obs: Observation, grid) -> CurveTable:
     """Evaluate both CDFs and both centered curves over a delta grid."""

@@ -142,17 +142,16 @@ def bessel_i0_scaled(x: float) -> float:
     """
     x = require_nonnegative("x", x)
     if x <= _I0_SERIES_LIMIT:
-        # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation
+        # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation.
+        # The sum meets 1e-17 by k = 61 at x = 50, the worst case, so 80 terms suffice.
         q = 0.25 * x * x
         term = 1.0
         total = 1.0
-        k = 0
-        while term > total * 1e-17:
-            k += 1
+        for k in range(1, 80):
             term *= q / (k * k)
             total += term
-            if k > 1000:
-                raise ConvergenceError(f"I0 power series stalled at x={x!r}")
+            if term <= total * 1e-17:
+                break
         return math.exp(-x) * total
     term = 1.0
     total = 1.0

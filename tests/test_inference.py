@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from confdist import (
-    CurveTable,
     DomainError,
     Observation,
     bayes_cdf,
@@ -344,23 +343,15 @@ class TestTabulateCurves:
         with pytest.raises(DomainError):
             tabulate_curves(obs, [[0.0, 1.0]])
 
-    def test_table_validation_rejects_tampering(self, obs):
-        table = tabulate_curves(obs, [0.0, 1.0, 2.0])
-        with pytest.raises(DomainError):
-            CurveTable(
-                delta=table.delta,
-                b=table.b,
-                c=table.c,
-                cc=table.cc + 0.5,
-                cred=table.cred,
-            )
-        with pytest.raises(DomainError):
-            CurveTable(
-                delta=table.delta,
-                b=table.b[::-1].copy(),
-                c=table.c,
-                cc=table.cc,
-                cred=table.cred,
-            )
-        with pytest.raises(DomainError, match="share the grid length"):
-            CurveTable(delta=table.delta, b=table.b[:-1], c=table.c, cc=table.cc, cred=table.cred)
+    @pytest.mark.parametrize("norm, sigma", [
+        (5.0, 2.5), (37.0, 1.0), (37.5, 1.0), (1010.3, 1.21011),
+    ])
+    def test_columns_nondecreasing_within_unit_interval(self, norm, sigma):
+        # |y|/sigma of 5, 37, 37.5 and 835; delta/sigma reaches |y|/sigma + 40,
+        # so the grid crosses G2's direct/Rice boundary at max(x, nu) = 1400
+        grid = np.linspace(0.0, norm + 40.0 * sigma, 2001)
+        table = tabulate_curves(Observation.from_norm(norm, sigma), grid)
+        for col in (table.b, table.c):
+            assert 0.0 <= col.min() and col.max() <= 1.0
+            # two G2 values, each within the 1e-12 contract
+            assert np.diff(col).min() >= -2e-12
