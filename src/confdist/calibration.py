@@ -182,9 +182,9 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     # and G2(0, nu0) = 0 then makes the frequency exactly 1.
     # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1.
     nu_star = invert_monotone(lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold,
-                              0.0, nu0 + x0 + 10.0)
+                              nu0 + x0 + 10.0)
     freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
-    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold, 0.0, x0 + 20.0)
+    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold, x0 + 20.0)
     freq_cd = 1.0 - noncentral_chisq2_cdf(z_star, nu0)
 
     return ExactRow(mean_bayes, mean_cd, freq_bayes, freq_cd)

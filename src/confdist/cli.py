@@ -154,7 +154,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}")
     cfg: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -125,10 +125,12 @@ def _cdf_callable(obs: Observation, method: Method) -> Callable[[float], float]:
 
 def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
     # (p-quantile, whether the zero atom covers p by itself); p < 1 is
-    # guaranteed by callers. The tolerance shrinks with the scale
-    # |y| + sigma below 1, so roots stay scale-equivariant however small
-    # the inputs are.
-    root = invert_monotone(_cdf_callable(obs, method), p, 0.0, obs.norm + 10.0 * obs.sigma,
+    # guaranteed by callers. The first guess lies above |y| even where 10 sigma
+    # is below its resolution. The tolerance shrinks with the scale |y| + sigma
+    # below 1, so roots stay scale-equivariant however small the inputs are
+    # (below about 2.5e-314 it underflows to 0: float resolution).
+    guess = max(obs.norm + 10.0 * obs.sigma, math.nextafter(obs.norm, math.inf))
+    root = invert_monotone(_cdf_callable(obs, method), p, guess,
                            ROOT_TOL * min(1.0, obs.norm + obs.sigma))
     return root, root == 0.0
 

@@ -3,9 +3,9 @@
 Self-contained implementations of the scaled modified Bessel function
 exp(-x) I0(x), the noncentral chi-square CDF with 2 degrees of freedom
 (scalar, and broadcast over arrays), and the one root solver:
-invert_monotone, the generalized inverse inf{x >= lo : f(x) >= target} of
-a nondecreasing f, which finds its own upper bracket and returns lo for a
-target an atom at lo covers.
+invert_monotone, the generalized inverse inf{x >= 0 : f(x) >= target} of
+a nondecreasing f, which finds its own upper bracket anywhere in the float
+range and returns 0 for a target an atom at 0 covers.
 All of it is deterministic: a float series for small arguments (with a
 numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
 that scalar and array calls share. The accuracy contracts are stated per
@@ -49,6 +49,8 @@ _POISSON_TAIL = 1e-14
 _PROB_SLACK = 1e-9
 # absolute root tolerance of invert_monotone
 ROOT_TOL = 1e-10
+# the largest float, where invert_monotone's bracket ends
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
 _DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu
@@ -296,42 +298,38 @@ def _cdf_grid(x, nu) -> np.ndarray:
 def invert_monotone(
     f: Callable[[float], float],
     target: float,
-    lo: float,
     hi: float,
     tol: float = ROOT_TOL,
 ) -> float:
-    """inf{x >= lo : f(x) >= target} for a nondecreasing f, by bisection.
+    """inf{x >= 0 : f(x) >= target} for a nondecreasing f on [0, inf), by bisection.
 
-    Returns lo itself when f(lo) >= target, so an atom of a CDF at lo
-    needs no special case. Otherwise hi is a first guess: while
-    f(hi) < target, lo moves up to hi and hi to lo + 2^k (hi - lo) for the
-    caller's lo and hi, at most 200 times, and BracketError names the
-    target and the last hi if f never gets there. Each point is evaluated
-    once. Bisection of the last [lo, hi] stops when the bracket width
-    drops below tol (or float resolution, whichever comes first) and
-    returns the bracket midpoint.
+    Returns 0.0 when f(0) >= target, so an atom of a CDF at 0 needs no
+    special case. Otherwise hi > 0 is a first guess, inf standing for the
+    largest float: while f(hi) < target, lo moves up to hi and hi doubles,
+    at most 200 times and never past the largest float, and BracketError
+    names the target and the last hi if f never gets there. Each point is
+    evaluated once. Bisection of the last [lo, hi] stops when the bracket
+    width drops to tol (tol = 0: to float resolution) and returns the
+    bracket midpoint.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DomainError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
-    if not (math.isfinite(target) and float(tol) > 0.0):
-        raise DomainError(f"target must be finite and tol positive, got {target!r}, {tol!r}")
+    hi = min(float(hi), _FLOAT_MAX)  # a nan hi stays nan
+    if not (hi > 0.0 and math.isfinite(target) and float(tol) >= 0.0):
+        raise DomainError(f"need hi > 0, finite target, tol >= 0; got {hi!r}, {target!r}, {tol!r}")
+    lo = 0.0
     if f(lo) >= target:
         return lo
-    lo0 = lo
     doublings = 0
     while f(hi) < target:
-        if doublings == 200:
+        if doublings == 200 or hi == _FLOAT_MAX:
             raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
-        lo, hi = hi, hi + (hi - lo0)
+        lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)
         doublings += 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket already at float resolution
+    while True:
+        # lo + hi can overflow only when hi exceeds half the largest float
+        mid = 0.5 * (lo + hi) if hi <= 0.5 * _FLOAT_MAX else 0.5 * lo + 0.5 * hi
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            return mid  # width within tol, or bracket at float resolution
         if f(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

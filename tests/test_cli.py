@@ -393,6 +393,37 @@ def test_overflowing_sigma_is_named(capsys, argv):
     assert ("radius=" if argv[2] == "0" else "delta_true=") in err
 
 
+@pytest.mark.parametrize("argv, failure", [
+    # _quantile's tolerance underflows to 0 (bisection runs to float resolution)
+    (("analyze", "--norm", "1e-320", "--sigma", "1e-320", "--radius", "1e-320"), None),
+    (("analyze", "--norm", "3e-315", "--sigma", "3e-315", "--radius", "3e-315"), None),
+    # first guess |y| + 10 sigma overflows; the bracket starts at the largest float
+    (("analyze", "--norm", "1e308", "--sigma", "1e307", "--radius", "1e308"), None),
+    # |y| + 10 sigma rounds to |y|; the first guess stays above it
+    (("analyze", "--norm", "1e154", "--sigma", "1", "--radius", "1e154"), None),
+    # exact_row's first guess overflows, and so would lo + hi
+    (("sweep", "--delta-true", "1.3e154", "--radius", "1e154", "--sigma-grid", "1",
+      "--n-reps", "2"), None),
+    # the 0.95 posterior quantile, about 1.86e308, lies beyond the largest float
+    (("analyze", "--norm", "1.7e308", "--sigma", "1e307", "--radius", "1e307"),
+     f"numerical failure: f stays below target 0.95 up to f({sys.float_info.max!r})\n"),
+])
+def test_roots_anywhere_in_float_range(capsys, argv, failure):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    if failure is not None:
+        assert (code, out, err) == (1, "", failure)
+        return
+    assert code == 0 and err == ""
+    parsed = json.loads(out)
+    rows = parsed.get("rows", [parsed])
+    assert rows and all(math.isfinite(v) for row in rows for v in row.values())
+    if argv[0] == "analyze":
+        for method in ("cd", "bayes"):
+            lo, mid, hi = (parsed[f"{method}_lo"], parsed[f"median_{method}"],
+                           parsed[f"{method}_hi"])
+            assert 0.0 <= lo <= mid <= hi and 0.0 < hi
+
+
 class TestConfigAndOutput:
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -457,6 +488,13 @@ class TestConfigAndOutput:
             capsys, "analyze", "--config", str(tmp_path / "absent.cfg")
         )
         assert code == 2
+
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --config: cannot read {cfg}: 'utf-8' codec")
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ("curve", "--norm", "5", "--sigma", "2.5",

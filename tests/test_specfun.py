@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -321,25 +322,23 @@ class TestVectorHelpers:
 
 class TestInvertMonotone:
     def test_linear(self):
-        got = invert_monotone(lambda v: v, 3.7, 0.0, 10.0)
+        got = invert_monotone(lambda v: v, 3.7, 10.0)
         assert abs(got - 3.7) <= 1e-9
 
     def test_square_root(self):
-        got = invert_monotone(lambda v: v * v, 2.0, 0.0, 10.0)
+        got = invert_monotone(lambda v: v * v, 2.0, 10.0)
         assert abs(got - math.sqrt(2.0)) <= 1e-9
 
     def test_cdf_inversion(self):
-        got = invert_monotone(
-            lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 0.0, 50.0
-        )
+        got = invert_monotone(lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 50.0)
         assert abs(got - 4.0) <= 1e-8
 
     def test_endpoint_targets(self):
-        assert abs(invert_monotone(lambda v: v, 0.0, 0.0, 1.0)) <= 1e-9
-        assert abs(invert_monotone(lambda v: v, 1.0, 0.0, 1.0) - 1.0) <= 1e-9
+        assert abs(invert_monotone(lambda v: v, 0.0, 1.0)) <= 1e-9
+        assert abs(invert_monotone(lambda v: v, 1.0, 1.0) - 1.0) <= 1e-9
 
     def test_evaluation_order(self):
-        # f(lo) first, then hi doubling until f(hi) >= target with lo moving
+        # f(0) first, then hi doubling until f(hi) >= target with lo moving
         # up to each hi that fell short, then bisection of the last [lo, hi]
         calls = []
 
@@ -347,7 +346,7 @@ class TestInvertMonotone:
             calls.append(v)
             return v
 
-        got = invert_monotone(f, 10.0, 0.0, 1.5)
+        got = invert_monotone(f, 10.0, 1.5)
         assert calls[:5] == [0.0, 1.5, 3.0, 6.0, 12.0]
         lo, hi, mids = 6.0, 12.0, []
         while hi - lo > 1e-10:
@@ -356,29 +355,50 @@ class TestInvertMonotone:
         assert calls[5:] == mids and mids[:2] == [9.0, 10.5]
         assert got == 0.5 * (lo + hi) and abs(got - 10.0) <= 1e-10
 
-    def test_target_covered_at_lo_returns_lo(self):
+    def test_target_covered_at_zero_returns_zero(self):
         for target in (-1.0, 0.25):
             calls = []
-            assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target, 0.0, 10.0) == 0.0
+            assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target, 10.0) == 0.0
             assert calls == [0.0]
-        assert invert_monotone(lambda v: v, 2.0, 2.0, 5.0) == 2.0
+
+    def test_zero_tolerance_runs_to_float_resolution(self):
+        got = invert_monotone(lambda v: v * v, 2.0, 10.0, tol=0.0)
+        assert abs(got - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+    def test_infinite_first_guess_finds_root_beyond_1e308(self):
+        # the bracket starts at the largest float, and midpoints above half
+        # of it are formed without overflowing lo + hi
+        target = 1.5e308
+        got = invert_monotone(lambda v: v, target, math.inf)
+        assert 1e308 < got and abs(got - target) <= 1e-10 * target
 
     def test_unreachable_target(self):
         calls = []
         with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({2.0 ** 200!r})")):
-            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 0.0, 1.0)
+            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1.0)
         assert calls == [0.0] + [2.0 ** k for k in range(201)]
 
+    def test_target_beyond_largest_float(self):
+        calls = []
+        largest = sys.float_info.max
+        with pytest.raises(BracketError, match=re.escape(f"up to f({largest!r})")):
+            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1e300)
+        assert calls[1] == 1e300 and calls[-1] == largest and calls[-2] < largest
+        assert all(math.isfinite(v) for v in calls)
+
     def test_domain_errors(self):
+        for hi in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                invert_monotone(lambda v: v, 0.5, hi)
         with pytest.raises(DomainError):
-            invert_monotone(lambda v: v, 0.5, 1.0, 1.0)
+            invert_monotone(lambda v: v, 0.5, 1.0, tol=-1e-10)
         with pytest.raises(DomainError):
-            invert_monotone(lambda v: v, 0.5, 0.0, 1.0, tol=0.0)
+            invert_monotone(lambda v: v, 0.5, 1.0, tol=math.nan)
         with pytest.raises(DomainError):
-            invert_monotone(lambda v: v, math.nan, 0.0, 1.0)
+            invert_monotone(lambda v: v, math.nan, 1.0)
 
     def test_tiny_tolerance_terminates(self):
-        got = invert_monotone(lambda v: v * v, 2.0, 0.0, 10.0, tol=1e-300)
+        got = invert_monotone(lambda v: v * v, 2.0, 10.0, tol=1e-300)
         assert abs(got - math.sqrt(2.0)) <= 1e-15
 
 
