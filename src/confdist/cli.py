@@ -13,6 +13,8 @@ codes: 0 success, 2 usage or validation error, 1 numerical failure.
 
 Each command is one table of Param entries (COMMANDS): the argparse flags,
 config keys, flag > config > default precedence and usage checks derive from it.
+Its runner returns one Record, and _render is the one place that formats a
+Record as text, csv or json.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import sys
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,17 +171,33 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _cell(value, spec: str) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return str(value).lower()  # a bool prints as true or false
     return format(float(value), spec)
 
 
-def _render(fmt: str, columns: list[str], rows: list[list]) -> str:
-    """One table as csv, as json {"rows": [...]}, or as right-aligned text."""
+class Record(NamedTuple):
+    """What a command prints: named fields, an optional table and prose lines."""
+
+    fields: dict
+    columns: Sequence[str] = ()
+    rows: Sequence[Sequence] = ()
+    key: str = "rows"
+    prose: Sequence[str] = ()
+
+
+def _render(fmt: str, record: Record) -> str:
+    """json writes the fields, then the table's rows under its key; csv and
+    right-aligned text write the table, or else the fields as its one row,
+    but text writes the prose lines instead when a command gives them."""
+    fields, columns, rows, key, prose = record
     if fmt == "json":
-        return json.dumps({"rows": [dict(zip(columns, row)) for row in rows]}, indent=2) + "\n"
+        table = {key: [dict(zip(columns, row)) for row in rows]} if columns else {}
+        return json.dumps({**fields, **table}, indent=2) + "\n"
+    if fmt == "text" and prose:
+        return "".join(line + "\n" for line in prose)
+    if not columns:
+        columns, rows = list(fields), [list(fields.values())]
     spec = ".10g" if fmt == "csv" else ".6g"
     lines = [columns, *([_cell(value, spec) for value in row] for row in rows)]
     if fmt == "csv":
@@ -209,7 +227,7 @@ def _observation(v: argparse.Namespace) -> Observation:
     return Observation(v.y1, v.y2, v.sigma)
 
 
-def _analyze(v: argparse.Namespace) -> str:
+def _analyze(v: argparse.Namespace) -> Record:
     obs = _observation(v)
     b_r = bayes_cdf(obs, v.radius)
     c_r = collision_confidence(obs, v.radius)
@@ -218,21 +236,15 @@ def _analyze(v: argparse.Namespace) -> str:
     med_b = median(obs, "bayes")
     iv_cd = level_interval(obs, "cd", v.level)
     iv_b = level_interval(obs, "bayes", v.level)
-
-    columns = ANALYZE_HEADER.split(",")
     values = [
         obs.norm, obs.sigma, v.radius, v.level, b_r, c_r, pval,
         med_cd.value, med_cd.at_boundary, med_b.value, med_b.at_boundary,
         iv_cd.lo, iv_cd.hi, iv_cd.lo_clipped, iv_b.lo, iv_b.hi, iv_b.lo_clipped,
     ]
-    if v.format == "csv":
-        return _render("csv", columns, [values])
-    if v.format == "json":
-        return json.dumps(dict(zip(columns, values)), indent=2) + "\n"
     pct = f"{100.0 * v.level:g}%"
     boundary = {True: " (at boundary)", False: ""}
     clipped = {True: " (lower endpoint clipped)", False: ""}
-    lines = [
+    return Record(dict(zip(ANALYZE_HEADER.split(","), values)), prose=(
         f"distance analysis: |y| = {obs.norm:.3f}, sigma = {obs.sigma:.3f}, "
         f"radius = {v.radius:.3f}",
         f"  posterior collision probability  B(R)     = {b_r:.3f}",
@@ -243,45 +255,32 @@ def _analyze(v: argparse.Namespace) -> str:
         f"  {pct} confidence interval = [{iv_cd.lo:.3f}, {iv_cd.hi:.3f}]"
         f"{clipped[iv_cd.lo_clipped]}",
         f"  {pct} credible interval   = [{iv_b.lo:.3f}, {iv_b.hi:.3f}]{clipped[iv_b.lo_clipped]}",
-    ]
-    return "\n".join(lines) + "\n"
+    ))
 
 
-def _curve(v: argparse.Namespace) -> str:
+def _curve(v: argparse.Namespace) -> Record:
     table = tabulate_curves(Observation.from_norm(v.norm, v.sigma), v.grid)
     rows = np.column_stack((table.delta, table.b, table.c, table.cc, table.cred)).tolist()
-    return _render(v.format, CURVE_HEADER.split(","), rows)
+    return Record({}, CURVE_HEADER.split(","), rows)
 
 
-def _sweep(v: argparse.Namespace) -> str:
+def _sweep(v: argparse.Namespace) -> Record:
     config = SweepConfig(v.sigma_grid, v.n_reps, v.seed, v.threshold)
     rows = run_sweep(v.delta_true, v.radius, config, workers=v.workers)
     columns = SWEEP_HEADER.split(",")
-    return _render(v.format, columns, [[getattr(row, name) for name in columns] for row in rows])
+    return Record({}, columns, [[getattr(row, name) for name in columns] for row in rows])
 
 
-def _pit(v: argparse.Namespace) -> str:
+def _pit(v: argparse.Namespace) -> Record:
     summary = pit_sample(Scenario(v.delta_true, v.sigma, v.radius), v.n, v.seed)
     critical = KS_CRITICAL_1PCT / math.sqrt(summary.n)
     consistent = summary.ks_stat <= critical
-    columns = PIT_HEADER.split(",")
     rows = [[i / 20.0, (i + 1) / 20.0, count] for i, count in enumerate(summary.histogram)]
-    if v.format == "csv":
-        return _render("csv", columns, rows)
-    if v.format == "json":
-        payload = {
-            "n": summary.n,
-            "ks_stat": summary.ks_stat,
-            "ks_critical_1pct": critical,
-            "uniform_consistent": consistent,
-            "mean_u": summary.mean_u,
-            "histogram": [dict(zip(columns, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    verdict = "consistent with uniform" if consistent else (
-        f"NOT consistent with uniform ({summary.ks_stat:.6g} > {critical:.6g})"
-    )
-    lines = [
+    fields = {"n": summary.n, "ks_stat": summary.ks_stat, "ks_critical_1pct": critical,
+              "uniform_consistent": consistent, "mean_u": summary.mean_u}
+    verdict = ("consistent with uniform" if consistent else
+               f"NOT consistent with uniform ({summary.ks_stat:.6g} > {critical:.6g})")
+    return Record(fields, PIT_HEADER.split(","), rows, "histogram", (
         f"pit uniformity check: delta_true = {v.delta_true:.6g}, sigma = {v.sigma:.6g}, "
         f"radius = {v.radius:.6g}, n = {summary.n}",
         f"  ks statistic      = {summary.ks_stat:.6g}",
@@ -290,8 +289,7 @@ def _pit(v: argparse.Namespace) -> str:
         f"  mean of 1 - C(R|Y) = {summary.mean_u:.6g}",
         "  histogram (20 bins over [0, 1]):",
         *(f"    [{lo:.2f}, {hi:.2f})  {count}" for lo, hi, count in rows),
-    ]
-    return "\n".join(lines) + "\n"
+    ))
 
 
 # command -> (summary, runner, parameters); runners call the library by
@@ -369,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else {}
         values = _resolve(params, args, cfg)
-        _write_output(run(values), values.output)
+        _write_output(_render(values.format, run(values)), values.output)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -261,8 +261,8 @@ def _cdf_grid(x, nu) -> np.ndarray:
     if math.prod(shape) == 0:
         return np.zeros(shape)
     for name, values in (("x", x), ("nu", nu)):
-        if not np.all(np.isfinite(values)) or values.min() < 0.0:
-            raise DomainError(f"{name} values must be finite and nonnegative")
+        for extreme in (values.min(), values.max()):  # a nan is both
+            require_nonnegative(name, extreme)
     # vector twin of the direct series, w and t in the shapes of nu and x;
     # lam = 0 where nu is large keeps exp(-lam) normal and the loop finite,
     # and the Rice quadrature then fills in every element with a large argument
@@ -306,24 +306,21 @@ def invert_monotone(
     Returns 0.0 when f(0) >= target, so an atom of a CDF at 0 needs no
     special case. Otherwise hi > 0 is a first guess, inf standing for the
     largest float: while f(hi) < target, lo moves up to hi and hi doubles,
-    at most 200 times and never past the largest float, and BracketError
-    names the target and the last hi if f never gets there. Each point is
-    evaluated once. Bisection of the last [lo, hi] stops when the bracket
-    width drops to tol (tol = 0: to float resolution) and returns the
-    bracket midpoint.
+    never past the largest float, and BracketError names the target and the
+    largest float if f never gets there. Each point is evaluated once.
+    Bisection of the last [lo, hi] stops when the bracket width drops to tol
+    (tol = 0: to float resolution) and returns the bracket midpoint.
     """
-    hi = min(float(hi), _FLOAT_MAX)  # a nan hi stays nan
-    if not (hi > 0.0 and math.isfinite(target) and float(tol) >= 0.0):
-        raise DomainError(f"need hi > 0, finite target, tol >= 0; got {hi!r}, {target!r}, {tol!r}")
+    hi = require_positive("hi", min(float(hi), _FLOAT_MAX))  # a nan hi stays nan
+    target = require_finite("target", target)
+    tol = require_nonnegative("tol", tol)
     lo = 0.0
     if f(lo) >= target:
         return lo
-    doublings = 0
     while f(hi) < target:
-        if doublings == 200 or hi == _FLOAT_MAX:
+        if hi == _FLOAT_MAX:
             raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
         lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)
-        doublings += 1
     while True:
         # lo + hi can overflow only when hi exceeds half the largest float
         mid = 0.5 * (lo + hi) if hi <= 0.5 * _FLOAT_MAX else 0.5 * lo + 0.5 * hi

@@ -597,3 +597,18 @@ class TestFormatsCarryTheSameValues:
         assert np.allclose([float(record[name]) for name in numbers],
                            [parsed[name] for name in numbers], rtol=1e-9, atol=0.0)
         assert parsed["median_cd_at_boundary"] is at_boundary
+
+    @pytest.mark.parametrize("argv", [
+        ANALYZE,
+        ("curve", "--norm", "5", "--sigma", "2.5", "--grid", "0:12:7"),
+        SWEEP + ("--sigma-grid", "0.5,2"),
+        PIT,
+    ], ids=lambda argv: argv[0])
+    def test_byte_framing(self, capsys, argv):
+        # json is indent=2 with one closing newline; csv is what csv.writer
+        # writes for its own parsed rows, one "\n" per line and no quoting
+        out = self.run_formats(capsys, *argv)
+        assert out["json"] == json.dumps(json.loads(out["json"]), indent=2) + "\n"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(out["csv"])))
+        assert out["csv"] == buffer.getvalue()

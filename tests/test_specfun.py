@@ -306,10 +306,12 @@ class TestVectorHelpers:
     def test_empty_and_invalid_inputs(self):
         assert _cdf_grid(np.array([]), 1.0).size == 0
         assert _cdf_grid(1.0, np.array([])).size == 0
-        with pytest.raises(DomainError):
-            _cdf_grid(np.array([-1.0]), 1.0)
-        with pytest.raises(DomainError):
-            _cdf_grid(1.0, np.array([math.nan]))
+        with pytest.raises(DomainError, match=r"^x .*, got -1\.0$"):
+            _cdf_grid(np.array([2.0, -1.0]), 1.0)
+        with pytest.raises(DomainError, match=r"^x .*, got inf$"):
+            _cdf_grid(np.array([2.0, math.inf]), 1.0)
+        with pytest.raises(DomainError, match=r"^nu .*, got nan$"):
+            _cdf_grid(1.0, np.array([1.0, math.nan]))
 
     def test_outer_grid_matches_scalar(self):
         xs = np.array([0.0, 0.015625, 0.64, 4.0, 16.0, 63.36, 140.0])
@@ -324,6 +326,8 @@ class TestInvertMonotone:
     def test_linear(self):
         got = invert_monotone(lambda v: v, 3.7, 10.0)
         assert abs(got - 3.7) <= 1e-9
+        # about 1,000 doublings from a tiny first guess up to the root
+        assert abs(invert_monotone(lambda v: v, 1.0, 1e-300) - 1.0) <= 1e-9
 
     def test_square_root(self):
         got = invert_monotone(lambda v: v * v, 2.0, 10.0)
@@ -372,29 +376,26 @@ class TestInvertMonotone:
         got = invert_monotone(lambda v: v, target, math.inf)
         assert 1e308 < got and abs(got - target) <= 1e-10 * target
 
-    def test_unreachable_target(self):
-        calls = []
-        with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({2.0 ** 200!r})")):
-            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1.0)
-        assert calls == [0.0] + [2.0 ** k for k in range(201)]
-
     def test_target_beyond_largest_float(self):
-        calls = []
+        # doubling runs from any first guess, however small, up to the
+        # largest float and no further
         largest = sys.float_info.max
-        with pytest.raises(BracketError, match=re.escape(f"up to f({largest!r})")):
-            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1e300)
-        assert calls[1] == 1e300 and calls[-1] == largest and calls[-2] < largest
-        assert all(math.isfinite(v) for v in calls)
+        for hi in (1e300, 1.0, 5e-324):
+            calls = []
+            with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({largest!r})")):
+                invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, hi)
+            assert calls[0] == 0.0 and calls[-1] == largest
+            assert calls[1:-1] == [math.ldexp(hi, k) for k in range(len(calls) - 2)]
+        assert len(calls) == 2100  # the worst case: 2^-1074 doubles 2097 times
 
     def test_domain_errors(self):
         for hi in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"^hi .*, got {hi!r}$"):
                 invert_monotone(lambda v: v, 0.5, hi)
-        with pytest.raises(DomainError):
-            invert_monotone(lambda v: v, 0.5, 1.0, tol=-1e-10)
-        with pytest.raises(DomainError):
-            invert_monotone(lambda v: v, 0.5, 1.0, tol=math.nan)
-        with pytest.raises(DomainError):
+        for tol in (-1e-10, math.nan):
+            with pytest.raises(DomainError, match=f"^tol .*, got {tol!r}$"):
+                invert_monotone(lambda v: v, 0.5, 1.0, tol=tol)
+        with pytest.raises(DomainError, match="^target .*, got nan$"):
             invert_monotone(lambda v: v, math.nan, 1.0)
 
     def test_tiny_tolerance_terminates(self):
