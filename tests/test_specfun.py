@@ -376,11 +376,20 @@ class TestInvertMonotone:
         got = invert_monotone(lambda v: v, target, math.inf)
         assert 1e308 < got and abs(got - target) <= 1e-10 * target
 
+    def test_unreachable_target(self):
+        # from the first guess 1.0, every power of two up to 2^1023, then
+        # the largest float, and no doubling cap before it
+        calls = []
+        largest = sys.float_info.max
+        with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({largest!r})")):
+            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1.0)
+        assert calls == [0.0] + [2.0 ** k for k in range(1024)] + [largest]
+
     def test_target_beyond_largest_float(self):
         # doubling runs from any first guess, however small, up to the
         # largest float and no further
         largest = sys.float_info.max
-        for hi in (1e300, 1.0, 5e-324):
+        for hi in (1e300, 5e-324):
             calls = []
             with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({largest!r})")):
                 invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, hi)
