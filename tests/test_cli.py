@@ -424,6 +424,25 @@ def test_roots_anywhere_in_float_range(capsys, argv, failure):
             assert 0.0 <= lo <= mid <= hi and 0.0 < hi
 
 
+def test_stuck_poisson_tail_inputs_run(capsys):
+    # both runs need G2 at noncentralities near 1359 where the summed Poisson
+    # weight stays above the direct series' tail stop
+    code, _, err = run_cli(capsys, "analyze", "--norm", "36.870482378617375",
+                           "--sigma", "1", "--radius", "30")
+    assert code == 0 and err == ""
+    n = 100_000
+    code, out, err = run_cli(capsys, "sweep", "--delta-true", "36.8", "--radius", "35",
+                             "--sigma-grid", "1", "--n-reps", str(n), "--seed", "2",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    (row,) = ({name: float(cell) for name, cell in r.items()} for r in csv_rows(out, SWEEP_HEADER))
+    for name in ("mean_bayes", "mean_cd"):
+        assert abs(row[name] - row[f"{name}_exact"]) <= 4.0 * row[f"stderr_{name}"], name
+    for name in ("freq_bayes", "freq_cd"):
+        p = row[f"{name}_exact"]
+        assert abs(row[name] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), name
+
+
 class TestConfigAndOutput:
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

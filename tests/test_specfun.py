@@ -201,19 +201,44 @@ class TestNoncentralChisq2Cdf:
             else:
                 assert noncentral_chisq2_cdf(1.0, 1.0) == want
 
-    def test_series_stall_guards(self, monkeypatch):
+    def test_series_bounded_without_tail_stop(self, monkeypatch):
         # with no tail bound the loops run until the Poisson(h) CDF reaches 1,
-        # which it misses by a few ulps at these x
+        # which it misses by a few ulps at these x; the term bound ends them
+        xs = np.array([5.5, 8.0, 13.5, 14.5])
+        scalar = noncentral_chisq2_cdf(14.5, 1.0)
+        vector = _cdf_grid(xs, 1.0)
         monkeypatch.setattr(specfun, "_POISSON_TAIL", -1.0)
-        with pytest.raises(ConvergenceError, match="mixture series stalled"):
-            noncentral_chisq2_cdf(14.5, 1.0)
-        with pytest.raises(ConvergenceError, match="vector mixture series stalled"):
-            _cdf_grid(np.array([5.5, 8.0, 13.5, 14.5]), 1.0)
+
+        class CountedLam(float):  # counts the terms, one lam / k per term
+            terms = 0
+
+            def __truediv__(self, k):
+                CountedLam.terms += 1
+                return float(self) / k
+
+        assert abs(specfun._cdf_series_direct(CountedLam(0.5), 7.25) - scalar) <= 1e-15
+        assert CountedLam.terms == specfun._DIRECT_TERMS - 1
+        assert np.max(np.abs(_cdf_grid(xs, 1.0) - vector)) <= 1e-15
+
+    # noncentralities where 1 - (summed Poisson weight) rounds to a value stuck
+    # above the 1e-14 tail stop, so only the term bound ends the series
+    @pytest.mark.parametrize("x, nu", [
+        (1000.0, 1358.45),
+        (1358.45, 1358.45),
+        (1399.0, 1358.45),
+        (1354.2880008797, 2 * 679.7162354159672),
+        (1000.0, 2 * 699.086807539284),
+    ])
+    def test_stuck_poisson_tail_returns_series_sum(self, x, nu):
+        got = noncentral_chisq2_cdf(x, nu)
+        assert _cdf_grid(np.array([x]), nu)[0] == got
+        assert abs(got - mp_g2(x, nu)) <= 1e-12
 
     def test_vector_result_outside_unit_interval(self, monkeypatch):
         monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, 1.5))
-        with pytest.raises(ConvergenceError, match=r"vector G2 left \[0, 1\]"):
-            _cdf_grid(np.array([1.0, 2000.0]), 1.0)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "noncentral_chisq2_cdf(2000.0, 1.0) produced 1.5, outside [0, 1]")):
+            _cdf_grid(np.array([1.0, 2000.0, 3000.0]), 1.0)
 
 
 class TestLargeArgumentWindow:
