@@ -154,7 +154,7 @@ def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.N
 
 def _load_config(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path}: {exc}")

@@ -166,16 +166,10 @@ def _i0e_asymptotic(r):
     return s
 
 
-def _as_probability(p: float, context: str) -> float:
-    if p < 0.0:
-        if p < -_PROB_SLACK:
-            raise ConvergenceError(f"{context} produced {p!r}, outside [0, 1]")
-        return 0.0
-    if p > 1.0:
-        if p > 1.0 + _PROB_SLACK:
-            raise ConvergenceError(f"{context} produced {p!r}, outside [0, 1]")
-        return 1.0
-    return p
+def _not_a_probability(x, nu, p) -> ConvergenceError:
+    # the [0, 1] guard's one error, scalar or vector, built only on failure
+    return ConvergenceError(f"noncentral_chisq2_cdf({float(x)!r}, {float(nu)!r}) "
+                            f"produced {float(p)!r}, outside [0, 1]")
 
 
 def _cdf_series_direct(lam: float, h: float) -> float:
@@ -234,8 +228,9 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     below 1e-14, or for at most 1,401 terms, past which Poisson(lam <= 700)
     leaves under 1e-100. Beyond that, integrates the Rice density of sqrt(chi2)
     by a fixed 144-node Gauss-Legendre rule, in the same time at any nu.
-    Absolute error <= 1e-12; results are clamped to [0, 1] (straying more
-    than 1e-9 outside raises ConvergenceError).
+    Absolute error <= 1e-12; results are clamped to [0, 1], and one
+    straying more than 1e-9 outside raises ConvergenceError, by the one
+    guard that _cdf_grid shares.
     """
     x = require_nonnegative("x", x)
     nu = require_nonnegative("nu", nu)
@@ -243,7 +238,9 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
         p = _cdf_series_direct(0.5 * nu, 0.5 * x)
     else:
         p = float(_g2_rice(np.array([x]), np.array([nu]))[0])
-    return _as_probability(p, f"noncentral_chisq2_cdf({x!r}, {nu!r})")
+    if p < -_PROB_SLACK or p > 1.0 + _PROB_SLACK:
+        raise _not_a_probability(x, nu, p)
+    return min(max(p, 0.0), 1.0)  # a nan passes, as through _cdf_grid's np.clip
 
 
 def _cdf_grid(x, nu) -> np.ndarray:
@@ -251,6 +248,8 @@ def _cdf_grid(x, nu) -> np.ndarray:
 
     Elements with x and nu at or below 1400 take the direct series, the rest
     the Rice quadrature, which gives each of them its scalar call's bits.
+    The scalar call's [0, 1] guard clamps the results; the first element
+    straying more than 1e-9 outside raises its ConvergenceError.
     """
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -288,8 +287,7 @@ def _cdf_grid(x, nu) -> np.ndarray:
     if bad.any():
         i = np.unravel_index(np.argmax(bad), shape)  # the first offending element
         x, nu = np.broadcast_to(x, shape)[i], np.broadcast_to(nu, shape)[i]
-        raise ConvergenceError(f"noncentral_chisq2_cdf({float(x)!r}, {float(nu)!r}) "
-                               f"produced {float(acc[i])!r}, outside [0, 1]")
+        raise _not_a_probability(x, nu, acc[i])
     return np.clip(acc, 0.0, 1.0)
 
 

@@ -464,10 +464,12 @@ class TestConfigAndOutput:
 
     def test_config_dash_keys(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("delta-true = 2\nsigma = 2.5\nradius = 2\nn = 500\n", encoding="utf-8")
-        code, out, _ = run_cli(capsys, "pit", "--config", str(cfg), "--format", "json")
-        assert code == 0
-        assert json.loads(out)["n"] == 500
+        # a leading UTF-8 byte-order mark is not part of the first key
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg.write_text("delta-true = 2\nsigma = 2.5\nradius = 2\nn = 500\n", encoding=encoding)
+            code, out, _ = run_cli(capsys, "pit", "--config", str(cfg), "--format", "json")
+            assert code == 0, encoding
+            assert json.loads(out)["n"] == 500
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -26,6 +26,18 @@ from confdist.specfun import (
 )
 from oracles import mc_gamma2, mp_g2, rice_g2
 
+# raw G2 results either side of the 1e-9 slack around [0, 1]: each is
+# clamped to the float given, or (None) rejected with a ConvergenceError
+OUTSIDE_UNIT = ((-5e-10, 0.0), (1.0 + 5e-10, 1.0), (-1e-8, None), (1.5, None))
+
+
+def _clamped_or_message(g2, x, nu) -> str:
+    # the repr of a G2 call's (first) value, or the message of its ConvergenceError
+    try:
+        return repr(float(np.ravel(g2(x, nu))[0]))
+    except ConvergenceError as exc:
+        return str(exc)
+
 # Frozen oracle values. Each was computed from an independent route
 # (40-digit power series, asymptotic expansion, Monte Carlo, closed forms)
 # and is re-derived where the route is cheap enough to run inline.
@@ -193,13 +205,14 @@ class TestNoncentralChisq2Cdf:
                 noncentral_chisq2_cdf(1.0, bad)
 
     def test_result_clamped_or_rejected_outside_unit_interval(self, monkeypatch):
-        for raw, want in ((-5e-10, 0.0), (1.0 + 5e-10, 1.0), (-1e-8, None), (1.5, None)):
+        # each raw result on the direct (x = 1) and the Rice (x = 2000) path
+        for raw, want in OUTSIDE_UNIT:
             monkeypatch.setattr(specfun, "_cdf_series_direct", lambda lam, h: raw)
-            if want is None:
-                with pytest.raises(ConvergenceError, match=r"noncentral_chisq2_cdf\(1.0, 1.0\)"):
-                    noncentral_chisq2_cdf(1.0, 1.0)
-            else:
-                assert noncentral_chisq2_cdf(1.0, 1.0) == want
+            monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, raw))
+            for x in (1.0, 2000.0):
+                message = f"noncentral_chisq2_cdf({x!r}, 1.0) produced {raw!r}, outside [0, 1]"
+                want_outcome = message if want is None else repr(want)
+                assert _clamped_or_message(noncentral_chisq2_cdf, x, 1.0) == want_outcome
 
     def test_series_bounded_without_tail_stop(self, monkeypatch):
         # with no tail bound the loops run until the Poisson(h) CDF reaches 1,
@@ -235,6 +248,12 @@ class TestNoncentralChisq2Cdf:
         assert abs(got - mp_g2(x, nu)) <= 1e-12
 
     def test_vector_result_outside_unit_interval(self, monkeypatch):
+        # a one-element vector call clamps to the scalar's float or raises its message
+        for raw, _ in OUTSIDE_UNIT:
+            monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, raw))
+            scalar = _clamped_or_message(noncentral_chisq2_cdf, 2000.0, 1.0)
+            assert _clamped_or_message(_cdf_grid, np.array([2000.0]), 1.0) == scalar
+        # and a longer one names its first offending element
         monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, 1.5))
         with pytest.raises(ConvergenceError, match=re.escape(
                 "noncentral_chisq2_cdf(2000.0, 1.0) produced 1.5, outside [0, 1]")):
