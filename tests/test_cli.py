@@ -292,15 +292,18 @@ class TestSweep:
             assert code == 0 and base == again == threaded, argv
 
     def test_subprocess_matches_in_process(self, capsys):
-        argv = ("sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "5000",
-                "--seed", "9", "--format", "csv")
-        _, in_process, _ = run_cli(capsys, *argv)
-        proc = subprocess.run(
-            [sys.executable, "-m", "confdist", *argv],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == in_process
+        # the curve writes about 3.5 MB to a pipe, all of it flushed at exit
+        for argv in (("sweep", "--sigma-grid", "0.5,2,8", "--n-reps", "5000",
+                      "--seed", "9", "--format", "csv"),
+                     ("curve", "--norm", "5", "--sigma", "2.5", "--grid", "0:12:20000",
+                      "--format", "json")):
+            _, in_process, _ = run_cli(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "confdist", *argv],
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, argv
+            assert proc.stdout == in_process, argv
 
 
 class TestPit:
@@ -633,3 +636,48 @@ class TestFormatsCarryTheSameValues:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(out["csv"])))
         assert out["csv"] == buffer.getvalue()
+
+
+# runs the package as `python -m confdist` does, then prints the exit code
+# and the number of objects the launcher froze as the last stdout line
+ENTRY = """
+import gc, runpy, sys
+sys.argv = ["confdist", *sys.argv[1:]]
+try:
+    runpy.run_module("confdist", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+# the collector's state before and after `import confdist` and `cli.main`
+LIBRARY = """
+import gc, json, sys
+states = [(gc.get_freeze_count(), gc.isenabled())]
+import confdist, confdist.__main__
+states.append((gc.get_freeze_count(), gc.isenabled()))
+confdist.cli.main(sys.argv[1:])
+states.append((gc.get_freeze_count(), gc.isenabled()))
+print(json.dumps(states), file=sys.stderr)
+"""
+
+
+class TestEntry:
+    @pytest.mark.parametrize("argv, expected", [
+        (ANALYZE, 0),
+        (ANALYZE + ("--norm", "-1"), 2),
+    ])
+    def test_launcher_freezes_and_keeps_exit_codes(self, capsys, argv, expected):
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines(keepends=True)
+        code, frozen = map(int, last.split())
+        assert frozen > 0
+        assert code == expected
+        assert ("".join(out), proc.stderr) == run_cli(capsys, *argv)[1:]
+
+    def test_library_leaves_the_collector_alone(self):
+        proc = subprocess.run([sys.executable, "-c", LIBRARY, *ANALYZE],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert json.loads(proc.stderr) == [[0, True]] * 3
