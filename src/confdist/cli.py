@@ -12,9 +12,9 @@ parameter (keys match the long flag names); explicit flags win. Exit
 codes: 0 success, 2 usage or validation error, 1 numerical failure.
 
 Each command is one table of Param entries (COMMANDS): the argparse flags,
-config keys, flag > config > default precedence and usage checks derive from it.
-Its runner returns one Record, and _render is the one place that formats a
-Record as text, csv or json.
+config keys and flag > config > default precedence derive from it; the
+domain checks are the library's, and main names each failure by its flag.
+A runner returns one Record, and _render alone formats it as text, csv or json.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     require_count,
-    require_finite,
-    require_nonnegative,
-    require_open_unit,
-    require_positive,
 )
 
 __all__ = ["main", "UsageError"]
@@ -113,11 +109,11 @@ def _sigma_grid(flag: str, text: str) -> tuple[float, ...]:
         raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
 
 
-NORM = Param("--norm", float, "observed displacement norm |y|", rule=require_nonnegative)
-SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED, require_positive)
-RADIUS = Param("--radius", float, "collision radius R", REQUIRED, require_positive)
-DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED, require_nonnegative)
-SEED = Param("--seed", int, "base seed", "1", partial(require_count, minimum=0))
+NORM = Param("--norm", float, "observed displacement norm |y|")
+SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED)
+RADIUS = Param("--radius", float, "collision radius R", REQUIRED)
+DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED)
+SEED = Param("--seed", int, "base seed", "1")
 WORKERS = Param("--workers", int, "accepted for compatibility; has no effect", "1",
                 partial(require_count, minimum=1))
 OUTPUT = Param("--output", str, "write to this file instead of stdout", metavar="PATH")
@@ -166,7 +162,10 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"--config: line {lineno} is not of the form key = value")
         key, _, value = stripped.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in cfg:
+            raise UsageError(f"--config: line {lineno} repeats key {key}")
+        cfg[key] = value.strip()
     return cfg
 
 
@@ -229,13 +228,13 @@ def _observation(v: argparse.Namespace) -> Observation:
 
 def _analyze(v: argparse.Namespace) -> Record:
     obs = _observation(v)
-    b_r = bayes_cdf(obs, v.radius)
     c_r = collision_confidence(obs, v.radius)
+    b_r = bayes_cdf(obs, v.radius)
     pval = noncollision_pvalue(obs, v.radius)
-    med_cd = median(obs, "cd")
-    med_b = median(obs, "bayes")
     iv_cd = level_interval(obs, "cd", v.level)
     iv_b = level_interval(obs, "bayes", v.level)
+    med_cd = median(obs, "cd")
+    med_b = median(obs, "bayes")
     values = [
         obs.norm, obs.sigma, v.radius, v.level, b_r, c_r, pval,
         med_cd.value, med_cd.at_boundary, med_b.value, med_b.at_boundary,
@@ -297,11 +296,11 @@ def _pit(v: argparse.Namespace) -> Record:
 COMMANDS = {
     "analyze": ("summarize a single observation", _analyze, (
         NORM,
-        Param("--y1", float, "first displacement coordinate", rule=require_finite),
-        Param("--y2", float, "second displacement coordinate", rule=require_finite),
+        Param("--y1", float, "first displacement coordinate"),
+        Param("--y2", float, "second displacement coordinate"),
         SIGMA,
         RADIUS,
-        Param("--level", float, "interval level", "0.90", require_open_unit),
+        Param("--level", float, "interval level", "0.90"),
         FORMAT._replace(default="text"),
         OUTPUT,
     )),
@@ -317,9 +316,9 @@ COMMANDS = {
         RADIUS._replace(default="2.00"),
         Param("--sigma-grid", str, "noise scales", "0.25,0.5,1,2,4,8,16", _sigma_grid,
               metavar="S1,S2,..."),
-        Param("--n-reps", int, "replicates per sigma", "100000", partial(require_count, minimum=1)),
+        Param("--n-reps", int, "replicates per sigma", "100000"),
         SEED,
-        Param("--threshold", float, "high-probability threshold", "0.95", require_open_unit),
+        Param("--threshold", float, "high-probability threshold", "0.95"),
         WORKERS,
         FORMAT._replace(default="csv"),
         OUTPUT,
@@ -328,8 +327,7 @@ COMMANDS = {
         DELTA_TRUE,
         SIGMA,
         RADIUS,
-        Param("--n", int, "number of draws, at least 100", "100000",
-              partial(require_count, minimum=100)),
+        Param("--n", int, "number of draws, at least 100", "100000"),
         SEED,
         WORKERS,
         FORMAT._replace(default="text"),
@@ -369,7 +367,11 @@ def main(argv: list[str] | None = None) -> int:
         values = _resolve(params, args, cfg)
         _write_output(_render(values.format, run(values)), values.output)
     except (UsageError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a DomainError starts with the argument's name: print the flag of the
+        # parameter that set it (a UsageError already names flags itself)
+        name, space, rest = str(exc).partition(" ")
+        name = next((p.flag for p in params if p.key == name), name)
+        print(f"error: {name}{space}{rest}", file=sys.stderr)
         return 2
     except (BracketError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

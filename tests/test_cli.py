@@ -34,6 +34,7 @@ def csv_rows(out: str, header: str) -> list[dict[str, str]]:
 ANALYZE = ("analyze", "--norm", "5", "--sigma", "2.5", "--radius", "2")
 SWEEP = ("sweep", "--n-reps", "10")
 PIT = ("pit", "--delta-true", "2", "--sigma", "2.5", "--radius", "2", "--n", "100")
+CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
 
 
 @pytest.mark.parametrize("argv, named, value", [
@@ -47,11 +48,21 @@ PIT = ("pit", "--delta-true", "2", "--sigma", "2.5", "--radius", "2", "--n", "10
     (SWEEP + ("--seed", "-1"), "--seed", "-1"),
     (SWEEP + ("--workers", "0"), "--workers", "0"),
     (SWEEP + ("--n-reps", "0"), "--n-reps", "0"),
-    (SWEEP + ("--sigma-grid", "1,-2"), "sigma_grid", "-2.0"),
-    (SWEEP + ("--sigma-grid", "2,1"), "sigma_grid", "(2.0, 1.0)"),
+    (SWEEP + ("--sigma-grid", "1,-2"), "--sigma-grid", "-2.0"),
+    (SWEEP + ("--sigma-grid", "2,1"), "--sigma-grid", "(2.0, 1.0)"),
     (PIT + ("--n", "99"), "--n", "99"),
-    (("curve", "--norm", "5", "--sigma", "2.5", "--grid", "5:1:10"), "--grid", "'5:1:10'"),
-    (("curve", "--norm", "5", "--sigma", "2.5", "--grid=-1:4:10"), "--grid", "'-1:4:10'"),
+    (CURVE + ("--grid", "5:1:10"), "--grid", "'5:1:10'"),
+    (CURVE + ("--grid=-1:4:10",), "--grid", "'-1:4:10'"),
+    (("analyze", "--y1", "3", "--y2", "inf", "--sigma", "2.5", "--radius", "2"), "--y2", "inf"),
+    (CURVE + ("--norm", "-0.5"), "--norm", "-0.5"),
+    (CURVE + ("--sigma", "0"), "--sigma", "0.0"),
+    (SWEEP + ("--radius", "0"), "--radius", "0.0"),
+    (PIT + ("--delta-true", "nan"), "--delta-true", "nan"),
+    (PIT + ("--sigma", "-1"), "--sigma", "-1.0"),
+    (PIT + ("--radius", "inf"), "--radius", "inf"),
+    (PIT + ("--seed", "-3"), "--seed", "-3"),
+    # linspace rounds the span to repeated points, which the library refuses
+    (CURVE + ("--grid", "0:5e-324:3"), "--grid", "[0.0, 0.0, 5e-324]"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)
@@ -473,6 +484,12 @@ class TestConfigAndOutput:
             code, out, _ = run_cli(capsys, "pit", "--config", str(cfg), "--format", "json")
             assert code == 0, encoding
             assert json.loads(out)["n"] == 500
+        # keys compare after folding, so a second spelling of one key repeats it
+        cfg.write_text("delta-true = 2\nsigma = 2.5\nradius = 2\ndelta_true = 3\n",
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, "pit", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: --config: line 4 repeats key delta_true\n"
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -493,6 +510,11 @@ class TestConfigAndOutput:
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err == "error: config value 'abc' is invalid for --sigma\n"
+        # a value that casts but fails the library's check is named by its flag too
+        cfg.write_text("norm = 5\nsigma = 0\nradius = 2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: --sigma must be finite and positive, got 0.0\n"
 
     def test_config_format_outside_choices(self, capsys, tmp_path):
         # argparse checks the choices of a flag; _resolve those of a config value

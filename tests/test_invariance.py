@@ -1,0 +1,102 @@
+"""Metamorphic relations: transformations of the inputs that must leave the
+outputs bit-identical, or move them exactly. They need no oracle, so they
+check seeded log-uniform draws at float cost.
+
+Medians and interval ends are left out: they scale only within their root
+tolerance.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from confdist import (
+    Observation,
+    Scenario,
+    SweepConfig,
+    bayes_cdf,
+    cd_cdf,
+    pit_sample,
+    run_sweep,
+    tabulate_curves,
+)
+
+
+def log_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size)
+
+
+def draws(seed: int, n: int) -> list[tuple[float, float, float]]:
+    """n triples (|y|, delta, sigma): sigma in [1e-2, 1e2] and both ratios to
+    it in [1e-4, 1e4], so every length lies in [1e-6, 1e6] and any scaling
+    by 2^k for -1000 <= k <= 500 keeps it a normal float."""
+    rng = np.random.default_rng(seed)
+    sigma = log_uniform(rng, 1e-2, 1e2, n)
+    ratios = log_uniform(rng, 1e-4, 1e4, (2, n))
+    return list(zip((ratios[0] * sigma).tolist(), (ratios[1] * sigma).tolist(), sigma.tolist()))
+
+
+@pytest.mark.parametrize("k", [-1000, -40, 10, 500])
+def test_power_of_two_scaling_leaves_b_and_c_unchanged(k):
+    # every G2 argument is a squared ratio, formed after an exact division
+    scale = 2.0 ** k
+    for norm, delta, sigma in draws(1, 200):
+        obs = Observation.from_norm(norm, sigma)
+        scaled = Observation.from_norm(norm * scale, sigma * scale)
+        for cdf in (bayes_cdf, cd_cdf):
+            assert cdf(scaled, delta * scale) == cdf(obs, delta), (cdf, norm, delta, sigma)
+
+
+@pytest.mark.parametrize("k", [-40, 10])
+def test_power_of_two_scaling_leaves_curve_tables_unchanged(k):
+    scale = 2.0 ** k
+    for norm, top, sigma in draws(2, 20):
+        grid = np.linspace(0.0, top, 50)
+        table = tabulate_curves(Observation.from_norm(norm, sigma), grid)
+        scaled = tabulate_curves(Observation.from_norm(norm * scale, sigma * scale), grid * scale)
+        assert scaled.b.tobytes() == table.b.tobytes(), (norm, top, sigma)
+        assert scaled.c.tobytes() == table.c.tobytes(), (norm, top, sigma)
+
+
+@pytest.mark.parametrize("k", [-11, 10])
+def test_power_of_two_scaling_leaves_sweep_and_pit_unchanged(k):
+    # the draws are loc + scale * z, so scaling delta_true and sigma scales
+    # each replicate exactly; only the sigma column moves
+    scale = 2.0 ** k
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        delta_true, radius = log_uniform(rng, 1e-2, 1e2, 2).tolist()
+        sigma_grid = tuple(np.sort(log_uniform(rng, 1e-2, 1e2, 3)).tolist())
+        config = SweepConfig(sigma_grid, n_reps=200, seed=5)
+        rows = run_sweep(delta_true, radius, config)
+        scaled_config = SweepConfig(tuple(s * scale for s in sigma_grid), n_reps=200, seed=5)
+        scaled = run_sweep(delta_true * scale, radius * scale, scaled_config)
+        assert scaled == [dataclasses.replace(row, sigma=row.sigma * scale) for row in rows]
+
+        sigma = sigma_grid[1]
+        summary = pit_sample(Scenario(delta_true, sigma, radius), 500, 7)
+        scaled_scenario = Scenario(delta_true * scale, sigma * scale, radius * scale)
+        assert pit_sample(scaled_scenario, 500, 7) == summary
+
+
+def test_sign_flips_and_swap_leave_outputs_unchanged():
+    rng = np.random.default_rng(4)
+    for (a, b, sigma), delta in zip(draws(4, 200), log_uniform(rng, 1e-6, 1e6, 200).tolist()):
+        obs = Observation(a, b, sigma)
+        expected = (obs.norm, bayes_cdf(obs, delta), cd_cdf(obs, delta))
+        for y1, y2 in ((-a, b), (a, -b), (-a, -b), (b, a), (-b, a), (b, -a), (-b, -a)):
+            other = Observation(y1, y2, sigma)
+            got = (other.norm, bayes_cdf(other, delta), cd_cdf(other, delta))
+            assert got == expected, (y1, y2, sigma, delta)
+
+
+def test_b_and_c_with_swapped_roles_sum_to_one():
+    # in units of sigma, B(a | |y| = b) = G2(a^2, b^2) and C(b | |y| = a) = 1 - G2(a^2, b^2)
+    for a, b, sigma in draws(5, 300):
+        total = bayes_cdf(Observation.from_norm(b, sigma), a) + cd_cdf(
+            Observation.from_norm(a, sigma), b)
+        assert abs(total - 1.0) <= math.ulp(1.0), (a, b, sigma, total)
