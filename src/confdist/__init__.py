@@ -8,10 +8,26 @@ Monte Carlo calibration experiments that contrast them, each beside its
 exact twin in closed form.
 """
 
-from . import calibration, inference, specfun
-from .calibration import *  # noqa: F401,F403
-from .inference import *  # noqa: F401,F403
-from .specfun import *  # noqa: F401,F403
+import gc
+
+# numpy, scipy and these modules build ~50,000 objects that live until exit:
+# pause the collector while they load, then promote them all to the oldest
+# generation (freeze, unfreeze) so the next collection does not scan them as
+# young. A caller's frozen objects stay frozen; the collector ends as found.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from . import calibration, inference, specfun
+    from .calibration import *  # noqa: F401,F403
+    from .inference import *  # noqa: F401,F403
+    from .specfun import *  # noqa: F401,F403
+finally:
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
+    del _collecting
 
 __version__ = "0.1.0"
 

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from .specfun import (
+    MAX_ROWS,
     DomainError,
     _cdf_grid,
     bessel_i0_scaled,
@@ -83,7 +84,7 @@ class SweepConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError(f"sigma_grid must be strictly increasing, got {grid!r}")
         object.__setattr__(self, "sigma_grid", grid)
-        object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1))
+        object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1, MAX_ROWS))
         object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
         object.__setattr__(self, "threshold", require_open_unit("threshold", self.threshold))
 
@@ -257,7 +258,7 @@ def pit_sample(
     two-sided KS statistic against uniformity, a 20-bin histogram, and the
     sample mean.
     """
-    n = require_count("n", n, 100)
+    n = require_count("n", n, 100, MAX_ROWS)
     seed = require_count("seed", seed, 0)
     z = _squared_norm_ratios(scenario, seed, (), n)
     x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)

@@ -39,6 +39,7 @@ from .inference import (
     tabulate_curves,
 )
 from .specfun import (
+    MAX_ROWS,
     BracketError,
     ConvergenceError,
     DomainError,
@@ -98,6 +99,8 @@ def _grid(flag: str, text: str) -> np.ndarray:
         raise UsageError(f"{flag} must look like lo:hi:n with numeric parts, got {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or count < 2:
         raise UsageError(f"{flag} needs 0 <= lo < hi and n >= 2, got {text!r}")
+    if count > MAX_ROWS:
+        raise UsageError(f"{flag} must have at most {MAX_ROWS} points, got {text!r}")
     return np.linspace(lo, hi, count)
 
 

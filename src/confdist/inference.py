@@ -17,7 +17,6 @@ exp(-(delta^2 + |y|^2) / (2 sigma^2)) I0(delta |y| / sigma^2).
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
 
@@ -195,13 +194,19 @@ class CurveTable:
 def tabulate_curves(obs: Observation, grid) -> CurveTable:
     """Evaluate both CDFs and both centered curves over a delta grid."""
     grid = np.asarray(grid, dtype=float)
-    got = lambda: reprlib.repr(grid.tolist())  # shows at most six entries a level
     if grid.ndim != 1 or grid.size == 0:
-        raise DomainError(f"grid must be a nonempty 1-d array, got {got()}")
-    if not np.all(np.isfinite(grid)) or grid[0] < 0.0:
-        raise DomainError(f"grid values must be finite and nonnegative, got {got()}")
-    if np.any(np.diff(grid) <= 0.0):
-        raise DomainError(f"grid must be strictly increasing, got {got()}")
+        raise DomainError(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
+    # the other two messages name the first entry at fault, wherever it lies
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid >= 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"grid values must be finite and nonnegative, "
+                          f"got grid[{i}] = {grid[i].item()!r}")
+    bad = np.flatnonzero(np.diff(grid) <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"grid must be strictly increasing, got grid[{i + 1}] = "
+                          f"{grid[i + 1].item()!r} after grid[{i}] = {grid[i].item()!r}")
     # |y| first: an overflow names the first delta, as per-point calls would
     y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=float(grid[0]))
     d2 = require_squared_ratio("delta", grid, obs.sigma, delta=float(grid[-1]))

@@ -15,6 +15,7 @@ function; a root comes within tol, by default ROOT_TOL = 1e-10.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -51,6 +52,9 @@ _PROB_SLACK = 1e-9
 ROOT_TOL = 1e-10
 # the largest float, where invert_monotone's bracket ends
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)
+# the most rows of an (n, 2) float64 array: numpy refuses one whose byte
+# size exceeds sys.maxsize, so a larger count of draws or points is refused first
+MAX_ROWS = sys.maxsize // 16
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
 _DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu,
@@ -125,13 +129,15 @@ def require_squared_ratio(name: str, value, sigma: float, **inputs):
     return ratio * ratio
 
 
-def require_count(name: str, value: int, minimum: int) -> int:
+def require_count(name: str, value: int, minimum: int, maximum: int | None = None) -> int:
     try:
         ok = not isinstance(value, bool) and int(value) == value and value >= minimum
     except (TypeError, ValueError, OverflowError):
         ok = False  # int() refuses nan, infinities and non-numbers
     if not ok:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
 
 

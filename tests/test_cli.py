@@ -62,7 +62,16 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     (PIT + ("--radius", "inf"), "--radius", "inf"),
     (PIT + ("--seed", "-3"), "--seed", "-3"),
     # linspace rounds the span to repeated points, which the library refuses
-    (CURVE + ("--grid", "0:5e-324:3"), "--grid", "[0.0, 0.0, 5e-324]"),
+    # by the first pair out of order, wherever it lies in the grid
+    (CURVE + ("--grid", "0:5e-324:3"), "--grid", "grid[1] = 0.0 after grid[0] = 0.0"),
+    # the rounded step overshoots, so only the last point falls back
+    (CURVE + ("--grid", "0:1e-322:30"), "--grid", "grid[29] = 1e-322 after grid[28] = 1.4e-322"),
+    # counts no numpy array can hold: an (n, 2) float64 array must fit sys.maxsize bytes
+    (PIT + ("--n", "100000000000000000000000"), "--n", "100000000000000000000000"),
+    (PIT + ("--n", "4611686018427387904"), "--n", "4611686018427387904"),
+    (SWEEP + ("--n-reps", "100000000000000000000000", "--sigma-grid", "1"), "--n-reps",
+     "100000000000000000000000"),
+    (CURVE + ("--grid", "0:1:100000000000000000000"), "--grid", "'0:1:100000000000000000000'"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)
@@ -703,3 +712,47 @@ class TestEntry:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert json.loads(proc.stderr) == [[0, True]] * 3
+
+
+# each prints what it checks of the collector around `import confdist` as
+# one json line; the import pauses the collector and promotes what it built
+IMPORT_PAUSES_COLLECTOR = """
+import gc, json
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(phase))
+import confdist
+during = len(starts)
+junk = [[] for _ in range(10000)]  # enough to start collections again
+print(json.dumps([during, len(starts) > during, gc.isenabled()]))
+"""
+DISABLED_STAYS_DISABLED = """
+import gc, json
+gc.disable()
+import confdist
+print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
+"""
+CALLER_FREEZE_KEPT = """
+import gc, json
+x = [[]]
+gc.freeze()
+frozen = gc.get_freeze_count()
+import confdist
+# get_objects() lists the three generations, never the frozen objects;
+# the count can fall a little, as frozen objects the import replaces are freed
+still_frozen = all(o is not x and o is not x[0] for o in gc.get_objects())
+print(json.dumps([still_frozen, 0 < gc.get_freeze_count() <= frozen, gc.isenabled()]))
+"""
+
+
+class TestImportCollector:
+    @pytest.mark.parametrize("code, expected", [
+        # without the pause the import starts about 120 collections
+        (IMPORT_PAUSES_COLLECTOR, [0, True, True]),
+        (DISABLED_STAYS_DISABLED, [False, 0]),
+        (CALLER_FREEZE_KEPT, [True, True, True]),
+    ], ids=["no-collection-during-import", "disabled-stays-disabled", "caller-freeze-kept"])
+    def test_import(self, code, expected):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected

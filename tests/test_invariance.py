@@ -20,6 +20,7 @@ from confdist import (
     SweepConfig,
     bayes_cdf,
     cd_cdf,
+    level_interval,
     pit_sample,
     run_sweep,
     tabulate_curves,
@@ -100,3 +101,58 @@ def test_b_and_c_with_swapped_roles_sum_to_one():
         total = bayes_cdf(Observation.from_norm(b, sigma), a) + cd_cdf(
             Observation.from_norm(a, sigma), b)
         assert abs(total - 1.0) <= math.ulp(1.0), (a, b, sigma, total)
+
+
+# Order relations need no oracle either. B <= C and monotone curves hold
+# exactly in theory, but G2 promises 1e-12 absolute, and its series and
+# the complement 1 - G2 carry noise of a few ulp(1) near 0 and 1: C can
+# round to 0 where B keeps a tail of 1e-17, and either curve can step back
+# by up to 3 ulp(1). So these relations are asserted to FLOOR, and a
+# break of the exact relation marks the test as an expected failure.
+FLOOR = 4 * math.ulp(1.0)
+
+
+def expect_exact(breaks: list) -> None:
+    if breaks:
+        pytest.xfail(f"{len(breaks)} exact breaks within {FLOOR:.1e}, first {breaks[0]}")
+
+
+def test_bayes_cdf_stays_below_cd_cdf():
+    # the gap C - B is a nonnegative Bessel term, and both are probabilities
+    breaks = []
+    for norm, delta, sigma in draws(6, 300):
+        obs = Observation.from_norm(norm, sigma)
+        b, c = bayes_cdf(obs, delta), cd_cdf(obs, delta)
+        assert 0.0 <= b <= c + FLOOR and c <= 1.0, (norm, delta, sigma, b, c)
+        if b > c:
+            breaks.append((norm, delta, sigma, b, c))
+    expect_exact(breaks)
+
+
+def test_curve_tables_are_monotone_in_delta():
+    breaks = []
+    for norm, top, sigma in draws(7, 40):
+        table = tabulate_curves(Observation.from_norm(norm, sigma), np.linspace(0.0, top, 200))
+        for curve in (table.b, table.c):
+            step = float(np.diff(curve).min())
+            assert step >= -FLOOR, (norm, top, sigma, step)
+            if step < 0.0:
+                breaks.append((norm, top, sigma, step))
+    expect_exact(breaks)
+
+
+def test_level_intervals_are_nested():
+    for norm, _, sigma in draws(8, 15):
+        obs = Observation.from_norm(norm, sigma)
+        for method in ("cd", "bayes"):
+            inner, middle, outer = (level_interval(obs, method, level)
+                                    for level in (0.5, 0.9, 0.99))
+            assert outer.lo <= middle.lo <= inner.lo <= inner.hi <= middle.hi <= outer.hi, (
+                norm, sigma, method)
+
+
+def test_cd_atom_at_zero_is_exp_of_minus_half_squared_ratio():
+    # C(0 | y) = P(chi2_2 > |y|^2 / sigma^2) = exp(-|y|^2 / (2 sigma^2))
+    for norm, _, sigma in draws(9, 300):
+        atom = cd_cdf(Observation.from_norm(norm, sigma), 0.0)
+        assert abs(atom - math.exp(-0.5 * (norm / sigma) ** 2)) <= 1e-16, (norm, sigma, atom)

@@ -11,6 +11,7 @@ import pytest
 
 from confdist import specfun
 from confdist.specfun import (
+    MAX_ROWS,
     BracketError,
     ConvergenceError,
     DomainError,
@@ -486,3 +487,13 @@ class TestArgumentChecks:
         for check, args in cases:
             with pytest.raises(DomainError, match="^arg "):
                 check("arg", *args)
+
+    def test_count_bound_is_numpys_array_limit(self):
+        # a broadcast (n, 2) float64 view takes no memory, so the limit itself is tried
+        assert np.broadcast_to(0.0, (MAX_ROWS, 2)).shape == (MAX_ROWS, 2)
+        with pytest.raises(ValueError):
+            np.broadcast_to(0.0, (MAX_ROWS + 1, 2))
+        assert require_count("a", MAX_ROWS, 1, MAX_ROWS) == MAX_ROWS
+        assert require_count("a", 10**30, 0) == 10**30  # no maximum given: seeds
+        with pytest.raises(DomainError, match=f"^arg must be at most {MAX_ROWS}, got {10**30}$"):
+            require_count("arg", 10**30, 1, MAX_ROWS)
