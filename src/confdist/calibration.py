@@ -73,17 +73,28 @@ class SweepConfig:
     threshold: float = 0.95
 
     def __post_init__(self) -> None:
+        # each message names the first entry at fault, as tabulate_curves' do
+        at = "sigma_grid[{}] = {!r}".format
         try:
-            grid = tuple(float(s) for s in self.sigma_grid)
-        except (TypeError, ValueError):
+            entries = tuple(self.sigma_grid)
+        except TypeError:
             raise DomainError(f"sigma_grid entries must be numbers, got {self.sigma_grid!r}")
-        if len(grid) == 0:
+        grid = []
+        for i, s in enumerate(entries):
+            try:
+                grid.append(float(s))
+            except (TypeError, ValueError):
+                raise DomainError(f"sigma_grid entries must be numbers, got {at(i, s)}")
+        if not grid:
             raise DomainError("sigma_grid must be nonempty")
-        for s in grid:
-            require_positive("sigma_grid entry", s)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError(f"sigma_grid must be strictly increasing, got {grid!r}")
-        object.__setattr__(self, "sigma_grid", grid)
+        for i, s in enumerate(grid):
+            if not 0.0 < s < math.inf:
+                raise DomainError(f"sigma_grid values must be finite and positive, got {at(i, s)}")
+        for i in range(1, len(grid)):
+            if grid[i] <= grid[i - 1]:
+                raise DomainError(f"sigma_grid must be strictly increasing, "
+                                  f"got {at(i, grid[i])} after {at(i - 1, grid[i - 1])}")
+        object.__setattr__(self, "sigma_grid", tuple(grid))
         object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1, MAX_ROWS))
         object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
         object.__setattr__(self, "threshold", require_open_unit("threshold", self.threshold))

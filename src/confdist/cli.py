@@ -73,14 +73,12 @@ REQUIRED = object()  # Param.default of a parameter that has none
 
 class Param(NamedTuple):
     """One command-line parameter. cast reads flag and config text; default
-    is config text, None (optional) or REQUIRED; rule(flag, value) returns
-    the accepted value or raises DomainError or UsageError naming the flag."""
+    is config text, None (optional) or REQUIRED."""
 
     flag: str
     cast: Callable[[str], object]
     help: str
     default: object = None
-    rule: Callable[[str, object], object] | None = None
     metavar: str | None = None
     choices: tuple[str, ...] | None = None
 
@@ -89,27 +87,18 @@ class Param(NamedTuple):
         return self.flag[2:].replace("-", "_")
 
 
-def _grid(flag: str, text: str) -> np.ndarray:
+def _grid(text: str) -> np.ndarray:
+    # only what linspace needs; tabulate_curves checks the points it makes
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"{flag} must look like lo:hi:n, got {text!r}")
+        raise UsageError(f"--grid must look like lo:hi:n, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(f"{flag} must look like lo:hi:n with numeric parts, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi <= lo or count < 2:
-        raise UsageError(f"{flag} needs 0 <= lo < hi and n >= 2, got {text!r}")
-    if count > MAX_ROWS:
-        raise UsageError(f"{flag} must have at most {MAX_ROWS} points, got {text!r}")
-    return np.linspace(lo, hi, count)
-
-
-def _sigma_grid(flag: str, text: str) -> tuple[float, ...]:
-    # SweepConfig checks that the entries are positive and increasing
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
+        raise UsageError(f"--grid must look like lo:hi:n with numeric parts, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--grid needs finite lo and hi, got {text!r}")
+    return np.linspace(lo, hi, require_count("--grid point count", count, 2, MAX_ROWS))
 
 
 NORM = Param("--norm", float, "observed displacement norm |y|")
@@ -117,14 +106,13 @@ SIGMA = Param("--sigma", float, "per-coordinate noise scale", REQUIRED)
 RADIUS = Param("--radius", float, "collision radius R", REQUIRED)
 DELTA_TRUE = Param("--delta-true", float, "true distance", REQUIRED)
 SEED = Param("--seed", int, "base seed", "1")
-WORKERS = Param("--workers", int, "accepted for compatibility; has no effect", "1",
-                partial(require_count, minimum=1))
+WORKERS = Param("--workers", int, "accepted for compatibility; has no effect", "1")
 OUTPUT = Param("--output", str, "write to this file instead of stdout", metavar="PATH")
 FORMAT = Param("--format", str, "output format", choices=("text", "csv", "json"))
 
 
 def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.Namespace:
-    """Each parameter's value by flag > config > default, then its rule."""
+    """Each parameter's value by flag > config > default, cast and within its choices."""
     unknown = sorted(set(cfg) - {p.key for p in params})
     if unknown:
         raise UsageError(f"config contains keys not used by this command: {', '.join(unknown)}")
@@ -139,15 +127,9 @@ def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.N
                 value = p.cast(text)
             except ValueError:
                 raise UsageError(f"config value {text!r} is invalid for {p.flag}")
-        values[p.key] = value
-    for p in params:
-        value = values[p.key]
-        if value is None:
-            continue
-        if p.choices and value not in p.choices:
+        if p.choices and value is not None and value not in p.choices:
             raise UsageError(f"{p.flag} must be one of {', '.join(p.choices)}")
-        if p.rule:
-            values[p.key] = p.rule(p.flag, value)
+        values[p.key] = value
     return argparse.Namespace(**values)
 
 
@@ -261,7 +243,8 @@ def _analyze(v: argparse.Namespace) -> Record:
 
 
 def _curve(v: argparse.Namespace) -> Record:
-    table = tabulate_curves(Observation.from_norm(v.norm, v.sigma), v.grid)
+    grid = _grid(v.grid)  # its text is read before any library check
+    table = tabulate_curves(Observation.from_norm(v.norm, v.sigma), grid)
     rows = np.column_stack((table.delta, table.b, table.c, table.cc, table.cred)).tolist()
     return Record({}, CURVE_HEADER.split(","), rows)
 
@@ -274,6 +257,7 @@ def _sweep(v: argparse.Namespace) -> Record:
 
 
 def _pit(v: argparse.Namespace) -> Record:
+    require_count("workers", v.workers, 1)  # pit_sample takes no worker count
     summary = pit_sample(Scenario(v.delta_true, v.sigma, v.radius), v.n, v.seed)
     critical = KS_CRITICAL_1PCT / math.sqrt(summary.n)
     consistent = summary.ks_stat <= critical
@@ -310,15 +294,15 @@ COMMANDS = {
     "curve": ("tabulate both cumulative curves", _curve, (
         NORM._replace(default=REQUIRED),
         SIGMA,
-        Param("--grid", str, "delta grid", "0:12:481", _grid, metavar="LO:HI:N"),
+        Param("--grid", str, "delta grid", "0:12:481", metavar="LO:HI:N"),
         FORMAT._replace(default="csv"),
         OUTPUT,
     )),
     "sweep": ("Monte Carlo calibration sweep", _sweep, (
         DELTA_TRUE._replace(default="1.99"),
         RADIUS._replace(default="2.00"),
-        Param("--sigma-grid", str, "noise scales", "0.25,0.5,1,2,4,8,16", _sigma_grid,
-              metavar="S1,S2,..."),
+        Param("--sigma-grid", partial(str.split, sep=","), "noise scales",
+              "0.25,0.5,1,2,4,8,16", metavar="S1,S2,..."),
         Param("--n-reps", int, "replicates per sigma", "100000"),
         SEED,
         Param("--threshold", float, "high-probability threshold", "0.95"),

@@ -1,0 +1,213 @@
+"""A corpus of CLI calls and the one runner that records what each prints.
+
+CORPUS lists command lines, split as a shell would split them. "{tmp}"
+stands for a scratch directory: the runner writes CONFIGS there first,
+and an --output file under it is read back and recorded as "file". A
+record holds the exit code and the stdout, stderr and output-file text,
+each split at "\\n" so that a moved line is one line of a diff.
+
+tests/golden/cli.json holds the records (python tests/golden/regen.py
+writes it, and --exact lists what moved); tests/test_cli_corpus.py
+replays the corpus against it.
+"""
+
+from __future__ import annotations
+
+import io
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from confdist.cli import main
+
+REFERENCE = "--norm 5 --sigma 2.5 --radius 2"
+PIT = "pit --delta-true 2 --sigma 2.5 --radius 2 --n 200"
+SWEEP = "sweep --sigma-grid 0.5,2,8 --n-reps 300 --seed 4"
+CURVE = "curve --norm 5 --sigma 2.5 --grid 0:12:9"
+FORMATS = ("text", "csv", "json")
+
+CONFIGS: dict[str, str | bytes] = {
+    "analyze.cfg": "# reference case\nnorm = 5\nsigma = 2.5\nradius = 4\n",
+    "curve.cfg": "norm = 5\nsigma = 2.5\ngrid = 0:8:5\nformat = json\n",
+    "sweep.cfg": "sigma-grid = 0.5,2\nn-reps = 200\nseed = 4\nthreshold = 0.9\n",
+    # a leading UTF-8 byte-order mark is not part of the first key
+    "pit_bom.cfg": "\ufeffdelta-true = 2\nsigma = 2.5\nradius = 2\nn = 500\n",
+    "repeated.cfg": "delta-true = 2\nsigma = 2.5\nradius = 2\ndelta_true = 3\n",
+    "unknown.cfg": "norm = 5\nsigma = 2.5\nradius = 2\nbogus = 1\n",
+    "malformed.cfg": "norm 5\n",
+    "cast.cfg": "norm = 5\nsigma = abc\nradius = 2\n",
+    "domain.cfg": "norm = 5\nsigma = 0\nradius = 2\n",
+    "yaml.cfg": "norm = 5\nsigma = 2.5\nradius = 2\nformat = yaml\n",
+    "xml.cfg": "format = xml\n",
+    "not_utf8.cfg": b"\xff\xfe",
+}
+
+CORPUS = [
+    # every command in every format, to stdout and to a file
+    *(f"analyze {REFERENCE} --format {fmt}" for fmt in FORMATS),
+    *(f"{CURVE} --format {fmt}" for fmt in FORMATS),
+    *(f"{SWEEP} --format {fmt}" for fmt in FORMATS),
+    *(f"{PIT} --format {fmt}" for fmt in FORMATS),
+    *(f"analyze {REFERENCE} --format {fmt} --output {{tmp}}/out" for fmt in FORMATS),
+    f"{CURVE} --output {{tmp}}/out",
+    f"{SWEEP} --format json --output {{tmp}}/out",
+    f"{PIT} --format csv --output {{tmp}}/out",
+    f"analyze {REFERENCE} --output -",
+    # defaults: the 481-point curve grid and the seven sweep noise scales
+    "curve --norm 5 --sigma 2.5",
+    "sweep --n-reps 50",
+    "analyze --y1 3 --y2 4 --sigma 2.5 --radius 2 --format csv",
+    "analyze --y1 -3 --y2 -4 --sigma 2.5 --radius 2 --format json",
+    # C's atom at 0 holds the confidence median
+    "analyze --norm 0.5 --sigma 1 --radius 1 --format json",
+    "analyze --norm 0 --sigma 1 --radius 1",
+    "analyze --norm 5 --sigma 2.5 --radius 2 --level 0.5 --format csv",
+    "sweep --delta-true 0 --radius 2 --sigma-grid 1 --n-reps 100 --threshold 0.999",
+    "sweep --sigma-grid 1 --n-reps 1 --seed 0 --format csv",
+    "pit --delta-true 1 --sigma 2.5 --radius 2 --n 500 --format json",
+    "pit --delta-true 4 --sigma 2.5 --radius 2 --n 500",
+    f"{PIT} --workers 2 --format json",
+    f"{SWEEP} --workers 3 --format csv",
+    # config files: flag > config > default
+    "analyze --config {tmp}/analyze.cfg --format csv",
+    "analyze --config {tmp}/analyze.cfg --radius 2 --format json",
+    "curve --config {tmp}/curve.cfg",
+    "curve --config {tmp}/curve.cfg --format csv --output {tmp}/out",
+    "sweep --config {tmp}/sweep.cfg --format json",
+    "pit --config {tmp}/pit_bom.cfg --format json",
+    # usage errors
+    "analyze --norm 5 --radius 2",
+    "curve --sigma 2.5",
+    "pit --sigma 1 --radius 2",
+    "analyze --norm 5 --y1 3 --y2 4 --sigma 2.5 --radius 2",
+    "analyze --y1 3 --sigma 2.5 --radius 2",
+    "analyze --norm abc --sigma 2.5 --radius 2",
+    "sweep --n-reps 1.5",
+    "pit --config {tmp}/repeated.cfg",
+    "analyze --config {tmp}/unknown.cfg",
+    "analyze --config {tmp}/malformed.cfg",
+    "analyze --config {tmp}/cast.cfg",
+    "analyze --config {tmp}/domain.cfg",
+    "analyze --config {tmp}/yaml.cfg",
+    "analyze --config {tmp}/absent.cfg",
+    "analyze --config {tmp}/not_utf8.cfg",
+    f"analyze {REFERENCE} --output {{tmp}}",
+    # domain errors, each printed under the flag that set the value
+    f"analyze {REFERENCE} --norm -1",
+    "analyze --y1 nan --y2 4 --sigma 2.5 --radius 2",
+    "analyze --y1 3 --y2 inf --sigma 2.5 --radius 2",
+    f"analyze {REFERENCE} --sigma 0",
+    f"analyze {REFERENCE} --radius -2",
+    f"analyze {REFERENCE} --level 1",
+    f"analyze {REFERENCE} --level 1.5",
+    "sweep --n-reps 10 --delta-true -1",
+    "sweep --n-reps 10 --threshold 0",
+    "sweep --n-reps 10 --threshold 1.0",
+    "sweep --n-reps 10 --seed -1",
+    "sweep --n-reps 10 --workers 0",
+    "sweep --n-reps 0",
+    "sweep --n-reps 10 --radius 0",
+    "sweep --n-reps 10 --sigma-grid 1,-2",
+    "sweep --n-reps 10 --sigma-grid 2,1",
+    "sweep --n-reps 10 --sigma-grid 0.5,.,2",
+    "sweep --n-reps 10 --sigma-grid " + ",".join(map(str, range(1, 31))) + ",29",
+    "sweep --n-reps 10 --sigma-grid 1,inf",
+    f"{PIT} --n 99",
+    f"{PIT} --delta-true nan",
+    f"{PIT} --sigma -1",
+    f"{PIT} --radius inf",
+    f"{PIT} --seed -3",
+    f"{PIT} --workers 0",
+    "curve --norm -0.5 --sigma 2.5",
+    "curve --norm 5 --sigma 0",
+    # --grid: its lo:hi:n form, then what tabulate_curves refuses
+    "curve --norm 5 --sigma 2.5 --grid 0:12",
+    "curve --norm 5 --sigma 2.5 --grid a:b:c",
+    "curve --norm 5 --sigma 2.5 --grid 0:12:2.5",
+    "curve --norm 5 --sigma 1 --grid 5:1:10",
+    "curve --norm 5 --sigma 1 --grid=-1:4:10",
+    "curve --norm 5 --sigma 1 --grid 0:12:1",
+    "curve --norm 5 --sigma 1 --grid 0:inf:3",
+    "curve --norm 5 --sigma 1 --grid 0:1:100000000000000000000",
+    "curve --norm 5 --sigma 1 --grid 0:5e-324:3",
+    "curve --norm 5 --sigma 1 --grid 0:1e-322:30",
+    "curve --norm 5 --sigma 1 --grid 0:5e-324:30000",
+    # counts no numpy array can hold
+    f"{PIT} --n 100000000000000000000000",
+    f"{PIT} --n 4611686018427387904",
+    "sweep --n-reps 100000000000000000000000 --sigma-grid 1",
+    # more than one bad input: which is reported first
+    "sweep --workers 0 --n-reps 0",
+    "curve --norm -1 --sigma 1 --grid 5:1:10",
+    "curve --norm 5 --sigma 1 --grid 5:1:10 --config {tmp}/xml.cfg",
+    "sweep --n-reps 10 --sigma-grid 0.5,.,2 --config {tmp}/xml.cfg",
+    "pit --delta-true 2 --sigma 1 --radius 2 --workers 0 --config {tmp}/xml.cfg",
+    # squared ratios that leave float range, named by their inputs
+    "analyze --norm 1e200 --sigma 1 --radius 1",
+    "analyze --norm 1 --sigma 1e-200 --radius 1",
+    "analyze --norm 1 --sigma 1 --radius 1e300",
+    "curve --norm 1e200 --sigma 1",
+    "curve --norm 1 --sigma 1e-200 --grid 0:1:3",
+    "pit --delta-true 0 --sigma 1e-160 --radius 2 --n 100",
+    "sweep --delta-true 0 --radius 2 --sigma-grid 1e-160 --n-reps 10",
+    "sweep --delta-true 2 --sigma-grid 1e-160 --n-reps 10",
+    # huge sigma: |y|^2 and sigma^2 overflow, every ratio stays finite
+    "sweep --sigma-grid 1e200 --n-reps 10 --format json",
+    "sweep --sigma-grid 1,1e154 --n-reps 10 --format csv",
+    "pit --delta-true 2 --sigma 1e200 --radius 2 --n 100 --format json",
+    # roots anywhere in the float range, and the one beyond it (exit 1)
+    "analyze --norm 1e-320 --sigma 1e-320 --radius 1e-320 --format json",
+    "analyze --norm 3e-315 --sigma 3e-315 --radius 3e-315 --format json",
+    "analyze --norm 5e-160 --sigma 2.5e-160 --radius 2e-160 --format csv",
+    "analyze --norm 1e308 --sigma 1e307 --radius 1e308 --format json",
+    "analyze --norm 1e154 --sigma 1 --radius 1e154 --format json",
+    "sweep --delta-true 1.3e154 --radius 1e154 --sigma-grid 1 --n-reps 2 --format json",
+    "analyze --norm 1.7e308 --sigma 1e307 --radius 1e307 --format json",
+    # the stuck Poisson tail, now bounded
+    "analyze --norm 36.870482378617375 --sigma 1 --radius 30 --format json",
+    "sweep --delta-true 36.8 --radius 35 --sigma-grid 1 --n-reps 200 --seed 2 --format json",
+    # every u = 1.0, counted in the last bin
+    "pit --delta-true 100 --sigma 1 --radius 2 --n 100",
+    "pit --delta-true 100 --sigma 1 --radius 2 --n 100 --format json",
+    # tails with no relative accuracy yet, at |y|/sigma, R/sigma from 5, 0.01 to 40, 30
+    *(f"analyze --norm {norm} --sigma 1 --radius {radius} --format {fmt}"
+      for norm, radius in (("5", "0.01"), ("10", "1"), ("10", "3"), ("20", "5"), ("40", "30"))
+      for fmt in ("csv", "json")),
+    "curve --norm 40 --sigma 1 --grid 30:50:9 --format json",
+    "curve --norm 12.7 --sigma 1 --grid 0:40:41 --format csv",
+    # the extreme level: (1 + level)/2 rounds to 1
+    f"analyze {REFERENCE} --level 0.9999999999999999 --format csv",
+    f"analyze {REFERENCE} --level 0.9999999999999999 --format json",
+    f"analyze {REFERENCE} --level 0.99 --format json",
+    # small sigma: many G2 arguments past the direct series
+    "sweep --sigma-grid 0.01 --n-reps 200 --format json",
+    "analyze --norm 150 --sigma 1 --radius 140 --format json",
+    "curve --norm 1000 --sigma 1 --grid 990:1010:5 --format json",
+]
+
+
+def run(command: str, tmp: Path) -> dict[str, object]:
+    """Run one corpus command in-process, CONFIGS already written to tmp."""
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in shlex.split(command)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refused the command line; its usage line wraps at the
+            # terminal width, so only its error line is kept
+            code = exc.code
+            stderr = io.StringIO(stderr.getvalue().splitlines()[-1] + "\n")
+    record = {"exit": code, "stdout": stdout.getvalue().split("\n"),
+              "stderr": stderr.getvalue().replace(str(tmp), "{tmp}").split("\n")}
+    if "--output" in argv:
+        target = Path(argv[argv.index("--output") + 1])
+        if target.is_file():
+            record["file"] = target.read_text(encoding="utf-8").split("\n")
+            target.unlink()
+    return record
+
+
+def write_configs(tmp: Path) -> None:
+    for name, content in CONFIGS.items():
+        (tmp / name).write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -48,11 +48,12 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     (SWEEP + ("--seed", "-1"), "--seed", "-1"),
     (SWEEP + ("--workers", "0"), "--workers", "0"),
     (SWEEP + ("--n-reps", "0"), "--n-reps", "0"),
-    (SWEEP + ("--sigma-grid", "1,-2"), "--sigma-grid", "-2.0"),
-    (SWEEP + ("--sigma-grid", "2,1"), "--sigma-grid", "(2.0, 1.0)"),
+    (SWEEP + ("--sigma-grid", "1,-2"), "--sigma-grid", "sigma_grid[1] = -2.0"),
+    (SWEEP + ("--sigma-grid", "2,1"), "--sigma-grid",
+     "sigma_grid[1] = 1.0 after sigma_grid[0] = 2.0"),
     (PIT + ("--n", "99"), "--n", "99"),
-    (CURVE + ("--grid", "5:1:10"), "--grid", "'5:1:10'"),
-    (CURVE + ("--grid=-1:4:10",), "--grid", "'-1:4:10'"),
+    (CURVE + ("--grid", "5:1:10"), "--grid", "grid[1] = 4.555555555555555 after grid[0] = 5.0"),
+    (CURVE + ("--grid=-1:4:10",), "--grid", "grid[0] = -1.0"),
     (("analyze", "--y1", "3", "--y2", "inf", "--sigma", "2.5", "--radius", "2"), "--y2", "inf"),
     (CURVE + ("--norm", "-0.5"), "--norm", "-0.5"),
     (CURVE + ("--sigma", "0"), "--sigma", "0.0"),
@@ -71,7 +72,7 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     (PIT + ("--n", "4611686018427387904"), "--n", "4611686018427387904"),
     (SWEEP + ("--n-reps", "100000000000000000000000", "--sigma-grid", "1"), "--n-reps",
      "100000000000000000000000"),
-    (CURVE + ("--grid", "0:1:100000000000000000000"), "--grid", "'0:1:100000000000000000000'"),
+    (CURVE + ("--grid", "0:1:100000000000000000000"), "--grid", "100000000000000000000"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)

@@ -2,13 +2,14 @@
 outputs bit-identical, or move them exactly. They need no oracle, so they
 check seeded log-uniform draws at float cost.
 
-Medians and interval ends are left out: they scale only within their root
-tolerance.
+Medians and interval ends scale only within their root tolerance, so they
+are checked to it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from confdist import (
     run_sweep,
     tabulate_curves,
 )
+from confdist.cli import main
 
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float, size) -> np.ndarray:
@@ -82,6 +84,41 @@ def test_power_of_two_scaling_leaves_sweep_and_pit_unchanged(k):
         summary = pit_sample(Scenario(delta_true, sigma, radius), 500, 7)
         scaled_scenario = Scenario(delta_true * scale, sigma * scale, radius * scale)
         assert pit_sample(scaled_scenario, 500, 7) == summary
+
+
+ROOTS = ("median_cd", "median_bayes", "cd_lo", "cd_hi", "bayes_lo", "bayes_hi")
+UNCHANGED = ("level", "b_radius", "c_radius", "pvalue", "median_cd_at_boundary",
+             "median_bayes_at_boundary", "cd_lo_clipped", "bayes_lo_clipped")
+
+
+def analyze_json(capsys, *inputs: float) -> dict:
+    argv = ["analyze", "--format", "json"]
+    for flag, value in zip(("--norm", "--sigma", "--radius", "--level"), inputs):
+        argv += [flag, repr(value)]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("k", [-40, 10])
+def test_power_of_two_scaling_of_analyze_output(capsys, k):
+    # what analyze prints: the probabilities and flags bit for bit, the
+    # echoed lengths exactly k times, and each root k times to the 1e-10
+    # relative tolerance of the roots
+    scale = 2.0 ** k
+    rng = np.random.default_rng(7)
+    sigma = log_uniform(rng, 1e-2, 1e2, 40)
+    ratios = log_uniform(rng, 1e-2, 40.0, (2, 40))
+    levels = rng.uniform(0.5, 0.99, 40)
+    for s, (a, r), level in zip(sigma.tolist(), ratios.T.tolist(), levels.tolist()):
+        norm, radius = a * s, r * s
+        base = analyze_json(capsys, norm, s, radius, level)
+        scaled = analyze_json(capsys, norm * scale, s * scale, radius * scale, level)
+        case = (norm, s, radius, level)
+        assert [scaled[key] for key in UNCHANGED] == [base[key] for key in UNCHANGED], case
+        for key in ("norm", "sigma", "radius"):
+            assert scaled[key] == base[key] * scale, (key, *case)
+        for key in ROOTS:
+            assert abs(scaled[key] / scale - base[key]) <= 1e-10 * (norm + s), (key, *case)
 
 
 def test_sign_flips_and_swap_leave_outputs_unchanged():
