@@ -32,6 +32,7 @@ from .specfun import (
     invert_monotone,
     noncentral_chisq2_cdf,
     require_count,
+    require_grid,
     require_nonnegative,
     require_open_unit,
     require_positive,
@@ -73,9 +74,9 @@ class SweepConfig:
     threshold: float = 0.95
 
     def __post_init__(self) -> None:
-        # each message names the first entry at fault, as tabulate_curves' do
-        at = "sigma_grid[{}] = {!r}".format
         try:
+            if isinstance(self.sigma_grid, (str, bytes)):  # else read per character
+                raise TypeError
             entries = tuple(self.sigma_grid)
         except TypeError:
             raise DomainError(f"sigma_grid entries must be numbers, got {self.sigma_grid!r}")
@@ -84,16 +85,8 @@ class SweepConfig:
             try:
                 grid.append(float(s))
             except (TypeError, ValueError):
-                raise DomainError(f"sigma_grid entries must be numbers, got {at(i, s)}")
-        if not grid:
-            raise DomainError("sigma_grid must be nonempty")
-        for i, s in enumerate(grid):
-            if not 0.0 < s < math.inf:
-                raise DomainError(f"sigma_grid values must be finite and positive, got {at(i, s)}")
-        for i in range(1, len(grid)):
-            if grid[i] <= grid[i - 1]:
-                raise DomainError(f"sigma_grid must be strictly increasing, "
-                                  f"got {at(i, grid[i])} after {at(i - 1, grid[i - 1])}")
+                raise DomainError(f"sigma_grid entries must be numbers, got sigma_grid[{i}] = {s!r}")
+        require_grid("sigma_grid", np.array(grid, dtype=float), positive=True)
         object.__setattr__(self, "sigma_grid", tuple(grid))
         object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1, MAX_ROWS))
         object.__setattr__(self, "seed", require_count("seed", self.seed, 0))

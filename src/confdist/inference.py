@@ -29,6 +29,7 @@ from .specfun import (
     invert_monotone,
     noncentral_chisq2_cdf,
     require_finite,
+    require_grid,
     require_nonnegative,
     require_open_unit,
     require_positive,
@@ -43,8 +44,6 @@ __all__ = [
     "CurveTable",
     "bayes_cdf",
     "cd_cdf",
-    "confidence_curve",
-    "credibility_curve",
     "median",
     "level_interval",
     "collision_confidence",
@@ -102,17 +101,6 @@ def cd_cdf(obs: Observation, delta: float) -> float:
     the test that the distance exceeds delta."""
     d2, y2 = _squared_ratios(obs, delta)
     return 1.0 - noncentral_chisq2_cdf(y2, d2)
-
-
-def confidence_curve(obs: Observation, delta: float) -> float:
-    """|1 - 2 C(delta|y)|: the smallest confidence level whose equal-tailed
-    interval excludes delta."""
-    return abs(1.0 - 2.0 * cd_cdf(obs, delta))
-
-
-def credibility_curve(obs: Observation, delta: float) -> float:
-    """Bayesian analogue of confidence_curve, built from the posterior CDF."""
-    return abs(1.0 - 2.0 * bayes_cdf(obs, delta))
 
 
 def _cdf_callable(obs: Observation, method: Method) -> Callable[[float], float]:
@@ -181,8 +169,9 @@ def noncollision_pvalue(obs: Observation, radius: float) -> float:
 
 @dataclass
 class CurveTable:
-    """Both cumulative curves with their derived confidence/credibility
-    columns, evaluated on a common delta grid."""
+    """Both cumulative curves on a common delta grid, with cc = |1 - 2C|, the
+    smallest confidence level whose equal-tailed interval excludes delta,
+    and its posterior analogue cred = |1 - 2B|."""
 
     delta: np.ndarray
     b: np.ndarray
@@ -193,20 +182,7 @@ class CurveTable:
 
 def tabulate_curves(obs: Observation, grid) -> CurveTable:
     """Evaluate both CDFs and both centered curves over a delta grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
-    # the other two messages name the first entry at fault, wherever it lies
-    bad = np.flatnonzero(~(np.isfinite(grid) & (grid >= 0.0)))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(f"grid values must be finite and nonnegative, "
-                          f"got grid[{i}] = {grid[i].item()!r}")
-    bad = np.flatnonzero(np.diff(grid) <= 0.0)
-    if bad.size:
-        i = bad[0]
-        raise DomainError(f"grid must be strictly increasing, got grid[{i + 1}] = "
-                          f"{grid[i + 1].item()!r} after grid[{i}] = {grid[i].item()!r}")
+    grid = require_grid("grid", np.asarray(grid, dtype=float))
     # |y| first: an overflow names the first delta, as per-point calls would
     y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=float(grid[0]))
     d2 = require_squared_ratio("delta", grid, obs.sigma, delta=float(grid[-1]))

@@ -77,9 +77,9 @@ _I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in rang
 
 
 # Argument checks shared by every module: each returns the value as a
-# float (or int, or the squared ratio to sigma) and raises DomainError
-# otherwise. Each message but the squared ratio's starts with the
-# argument's name and a space; the CLI puts the flag that set it there.
+# float (or int, the squared ratio to sigma, or the grid itself) and raises
+# DomainError otherwise. Each message but the squared ratio's starts with
+# the argument's name and a space; the CLI puts the flag that set it there.
 
 
 def require_finite(name: str, value: float) -> float:
@@ -127,6 +127,26 @@ def require_squared_ratio(name: str, value, sigma: float, **inputs):
     if is_array:
         ratio = value / sigma  # no element exceeds the peak checked above
     return ratio * ratio
+
+
+def require_grid(name: str, grid: np.ndarray, positive: bool = False) -> np.ndarray:
+    """grid itself if it is a nonempty 1-d float array of finite, strictly
+    increasing values that are > 0 if positive, else >= 0.
+
+    Each message but the shape's names the first entry at fault.
+    """
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError(f"{name} must be a nonempty 1-d array, got shape {grid.shape}")
+    at = lambda i: f"{name}[{i}] = {grid[i].item()!r}"  # noqa: E731
+    bad = np.flatnonzero(~(np.isfinite(grid) & ((grid > 0.0) if positive else (grid >= 0.0))))
+    if bad.size:
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} values must be finite and {sign}, got {at(bad[0])}")
+    bad = np.flatnonzero(np.diff(grid) <= 0.0)
+    if bad.size:
+        i = bad[0] + 1
+        raise DomainError(f"{name} must be strictly increasing, got {at(i)} after {at(i - 1)}")
+    return grid
 
 
 def require_count(name: str, value: int, minimum: int, maximum: int | None = None) -> int:

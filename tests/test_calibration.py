@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -50,15 +51,21 @@ class TestScenarioAndConfig:
         cfg = SweepConfig(sigma_grid=(0.5, 2.0), n_reps=10, seed=0)
         assert cfg.threshold == 0.95
         with pytest.raises(DomainError):
-            SweepConfig(sigma_grid=(), n_reps=10, seed=0)
-        with pytest.raises(DomainError):
             SweepConfig(sigma_grid=(2.0, 1.0), n_reps=10, seed=0)
         with pytest.raises(DomainError):
             SweepConfig(sigma_grid=(1.0, 1.0), n_reps=10, seed=0)
         with pytest.raises(DomainError):
-            SweepConfig(sigma_grid=(0.0, 1.0), n_reps=10, seed=0)
-        with pytest.raises(DomainError):
             SweepConfig(sigma_grid=("a",), n_reps=10, seed=0)
+        for grid, message in [
+            ((), "sigma_grid must be a nonempty 1-d array, got shape (0,)"),
+            ((0.0, 1.0), "sigma_grid values must be finite and positive, got sigma_grid[0] = 0.0"),
+            # the sign check runs before the order check
+            ((2, 1, -1), "sigma_grid values must be finite and positive, got sigma_grid[2] = -1.0"),
+            ("25", "sigma_grid entries must be numbers, got '25'"),
+            (b"25", "sigma_grid entries must be numbers, got b'25'"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                SweepConfig(sigma_grid=grid, n_reps=10, seed=0)
         with pytest.raises(DomainError):
             SweepConfig(sigma_grid=(1.0,), n_reps=0, seed=0)
         with pytest.raises(DomainError):

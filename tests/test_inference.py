@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from confdist import (
     bayes_cdf,
     cd_cdf,
     collision_confidence,
-    confidence_curve,
-    credibility_curve,
     level_interval,
     median,
     noncollision_pvalue,
@@ -222,19 +221,20 @@ class TestCollisionQuantities:
 
 class TestCurves:
     def test_confidence_curve_vanishes_at_median(self, obs):
-        assert confidence_curve(obs, median(obs, "cd").value) <= 1e-8
-        assert credibility_curve(obs, median(obs, "bayes").value) <= 1e-8
+        assert tabulate_curves(obs, [median(obs, "cd").value]).cc[0] <= 1e-8
+        assert tabulate_curves(obs, [median(obs, "bayes").value]).cred[0] <= 1e-8
 
     def test_curve_levels_at_interval_endpoints(self, obs):
         cd_iv = level_interval(obs, "cd", 0.90)
         b_iv = level_interval(obs, "bayes", 0.90)
-        assert abs(confidence_curve(obs, cd_iv.hi) - 0.90) <= 1e-7
-        assert abs(credibility_curve(obs, b_iv.lo) - 0.90) <= 1e-7
-        assert abs(credibility_curve(obs, b_iv.hi) - 0.90) <= 1e-7
+        assert abs(tabulate_curves(obs, [cd_iv.hi]).cc[0] - 0.90) <= 1e-7
+        assert abs(tabulate_curves(obs, [b_iv.lo]).cred[0] - 0.90) <= 1e-7
+        assert abs(tabulate_curves(obs, [b_iv.hi]).cred[0] - 0.90) <= 1e-7
 
     def test_curve_at_zero(self, obs):
-        assert abs(confidence_curve(obs, 0.0) - abs(1.0 - 2.0 * cd_cdf(obs, 0.0))) <= 1e-15
-        assert credibility_curve(obs, 0.0) == 1.0
+        table = tabulate_curves(obs, [0.0])
+        assert abs(table.cc[0] - abs(1.0 - 2.0 * cd_cdf(obs, 0.0))) <= 1e-15
+        assert table.cred[0] == 1.0
 
 
 class TestStructuralDominance:
@@ -333,15 +333,16 @@ class TestTabulateCurves:
 
     def test_grid_validation(self, obs):
         with pytest.raises(DomainError):
-            tabulate_curves(obs, [])
-        with pytest.raises(DomainError):
             tabulate_curves(obs, [1.0, 1.0])
         with pytest.raises(DomainError):
             tabulate_curves(obs, [2.0, 1.0])
-        with pytest.raises(DomainError):
-            tabulate_curves(obs, [-1.0, 1.0])
-        with pytest.raises(DomainError):
-            tabulate_curves(obs, [[0.0, 1.0]])
+        for grid, message in [
+            ([], "grid must be a nonempty 1-d array, got shape (0,)"),
+            ([[0.0, 1.0]], "grid must be a nonempty 1-d array, got shape (1, 2)"),
+            ([-1.0, 1.0], "grid values must be finite and nonnegative, got grid[0] = -1.0"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                tabulate_curves(obs, grid)
 
     @pytest.mark.parametrize("norm, sigma", [
         (5.0, 2.5), (37.0, 1.0), (37.5, 1.0), (1010.3, 1.21011),
