@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .specfun import (
-    ROOT_TOL,
+    BracketError,
     DomainError,
     _cdf_grid,
     invert_monotone,
@@ -90,37 +90,41 @@ def _squared_ratios(obs: Observation, delta: float) -> tuple[float, float]:
     )
 
 
+# B and C in ratio space, of d2 = (delta/sigma)^2 and y2 = (|y|/sigma)^2
+_CDF = {
+    "bayes": lambda d2, y2: noncentral_chisq2_cdf(d2, y2),
+    "cd": lambda d2, y2: 1.0 - noncentral_chisq2_cdf(y2, d2),
+}
+
+
 def bayes_cdf(obs: Observation, delta: float) -> float:
     """Posterior probability that the distance is at most delta."""
-    d2, y2 = _squared_ratios(obs, delta)
-    return noncentral_chisq2_cdf(d2, y2)
+    return _CDF["bayes"](*_squared_ratios(obs, delta))
 
 
 def cd_cdf(obs: Observation, delta: float) -> float:
     """Confidence-distribution CDF at delta: one minus the p-value of
     the test that the distance exceeds delta."""
-    d2, y2 = _squared_ratios(obs, delta)
-    return 1.0 - noncentral_chisq2_cdf(y2, d2)
-
-
-def _cdf_callable(obs: Observation, method: Method) -> Callable[[float], float]:
-    if method == "bayes":
-        return lambda d: bayes_cdf(obs, d)
-    if method == "cd":
-        return lambda d: cd_cdf(obs, d)
-    raise DomainError(f"method must be 'bayes' or 'cd', got {method!r}")
+    return _CDF["cd"](*_squared_ratios(obs, delta))
 
 
 def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
-    # (p-quantile, whether the zero atom covers p by itself); p < 1 is
-    # guaranteed by callers. The first guess lies above |y| even where 10 sigma
-    # is below its resolution. The tolerance shrinks with the scale |y| + sigma
-    # below 1, so roots stay scale-equivariant however small the inputs are
-    # (below about 2.5e-314 it underflows to 0: float resolution).
-    guess = max(obs.norm + 10.0 * obs.sigma, math.nextafter(obs.norm, math.inf))
-    root = invert_monotone(_cdf_callable(obs, method), p, guess,
-                           ROOT_TOL * min(1.0, obs.norm + obs.sigma))
-    return root, root == 0.0
+    # (p-quantile, whether the zero atom covers p by itself), solved in
+    # d = delta/sigma so that roots scale with the inputs bit for bit. The
+    # first guess lies above |y|/sigma even where 10 is below its resolution.
+    # Where d^2 overflows, y2 is finite and both CDFs are 1.
+    if not isinstance(method, str) or method not in _CDF:
+        raise DomainError(f"method must be 'bayes' or 'cd', got {method!r}")
+    cdf = _CDF[method]
+    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=0.0)
+    a = obs.norm / obs.sigma
+    d = invert_monotone(lambda d: cdf(d * d, y2) if d * d < math.inf else 1.0, p,
+                        max(a + 10.0, math.nextafter(a, math.inf)))
+    root = d * obs.sigma
+    if root == math.inf:
+        raise BracketError(f"the {p!r} quantile of the {method} CDF lies beyond the largest float, "
+                           f"at |y|={obs.norm!r}, sigma={obs.sigma!r}")
+    return root, d == 0.0
 
 
 class MedianResult(NamedTuple):

@@ -5,11 +5,12 @@ exp(-x) I0(x), the noncentral chi-square CDF with 2 degrees of freedom
 (scalar, and broadcast over arrays), and the one root solver:
 invert_monotone, the generalized inverse inf{x >= 0 : f(x) >= target} of
 a nondecreasing f, which finds its own upper bracket anywhere in the float
-range and returns 0 for a target an atom at 0 covers.
+range, returns 0 for a target an atom at 0 covers, and otherwise bisects
+to float resolution.
 All of it is deterministic: a float series for small arguments (with a
 numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
 that scalar and array calls share. The accuracy contracts are stated per
-function; a root comes within tol, by default ROOT_TOL = 1e-10.
+function; a root is the least float at which f reaches the target.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ _EXP_LIMIT = 700.0
 _POISSON_TAIL = 1e-14
 # [0, 1] results may stray this far outside before we call it a failure
 _PROB_SLACK = 1e-9
-# absolute root tolerance of invert_monotone
-ROOT_TOL = 1e-10
 # the largest float, where invert_monotone's bracket ends
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # the most rows of an (n, 2) float64 array: numpy refuses one whose byte
@@ -318,12 +317,7 @@ def _cdf_grid(x, nu) -> np.ndarray:
     return np.clip(acc, 0.0, 1.0)
 
 
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
-    hi: float,
-    tol: float = ROOT_TOL,
-) -> float:
+def invert_monotone(f: Callable[[float], float], target: float, hi: float) -> float:
     """inf{x >= 0 : f(x) >= target} for a nondecreasing f on [0, inf), by bisection.
 
     Returns 0.0 when f(0) >= target, so an atom of a CDF at 0 needs no
@@ -331,12 +325,11 @@ def invert_monotone(
     largest float: while f(hi) < target, lo moves up to hi and hi doubles,
     never past the largest float, and BracketError names the target and the
     largest float if f never gets there. Each point is evaluated once.
-    Bisection of the last [lo, hi] stops when the bracket width drops to tol
-    (tol = 0: to float resolution) and returns the bracket midpoint.
+    Bisection of the last [lo, hi] stops when lo and hi are adjacent floats
+    and returns hi, the least float x with f(x) >= target.
     """
     hi = require_positive("hi", min(float(hi), _FLOAT_MAX))  # a nan hi stays nan
     target = require_finite("target", target)
-    tol = require_nonnegative("tol", tol)
     lo = 0.0
     if f(lo) >= target:
         return lo
@@ -344,12 +337,11 @@ def invert_monotone(
         if hi == _FLOAT_MAX:
             raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
         lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)
-    while True:
+    while math.nextafter(lo, hi) < hi:
         # lo + hi can overflow only when hi exceeds half the largest float
         mid = 0.5 * (lo + hi) if hi <= 0.5 * _FLOAT_MAX else 0.5 * lo + 0.5 * hi
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            return mid  # width within tol, or bracket at float resolution
         if f(mid) < target:
             lo = mid
         else:
             hi = mid
+    return hi

@@ -159,8 +159,12 @@ CORPUS = [
     "analyze --norm 1e-320 --sigma 1e-320 --radius 1e-320 --format json",
     "analyze --norm 3e-315 --sigma 3e-315 --radius 3e-315 --format json",
     "analyze --norm 5e-160 --sigma 2.5e-160 --radius 2e-160 --format csv",
+    # the smallest sigma: B has no atom at 0, so no B quantile is flagged, and
+    # each root is the nearest subnormal to d * sigma
+    "analyze --norm 0 --sigma 5e-324 --radius 1e-323 --format csv",
     "analyze --norm 1e308 --sigma 1e307 --radius 1e308 --format json",
     "analyze --norm 1e154 --sigma 1 --radius 1e154 --format json",
+    "analyze --norm 1.3407807929942596e154 --sigma 1 --radius 1 --format json",
     "sweep --delta-true 1.3e154 --radius 1e154 --sigma-grid 1 --n-reps 2 --format json",
     "analyze --norm 1.7e308 --sigma 1e307 --radius 1e307 --format json",
     # the stuck Poisson tail, now bounded

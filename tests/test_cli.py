@@ -418,7 +418,7 @@ def test_overflowing_sigma_is_named(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, failure", [
-    # _quantile's tolerance underflows to 0 (bisection runs to float resolution)
+    # subnormal scales: each root d * sigma, d = delta/sigma, rounds to a subnormal
     (("analyze", "--norm", "1e-320", "--sigma", "1e-320", "--radius", "1e-320"), None),
     (("analyze", "--norm", "3e-315", "--sigma", "3e-315", "--radius", "3e-315"), None),
     # first guess |y| + 10 sigma overflows; the bracket starts at the largest float
@@ -428,9 +428,14 @@ def test_overflowing_sigma_is_named(capsys, argv):
     # exact_row's first guess overflows, and so would lo + hi
     (("sweep", "--delta-true", "1.3e154", "--radius", "1e154", "--sigma-grid", "1",
       "--n-reps", "2"), None),
-    # the 0.95 posterior quantile, about 1.86e308, lies beyond the largest float
+    # the 0.95 quantiles, about 1.86e308, lie beyond the largest float: the
+    # ratio d is 18.6, and d * sigma overflows
     (("analyze", "--norm", "1.7e308", "--sigma", "1e307", "--radius", "1e307"),
-     f"numerical failure: f stays below target 0.95 up to f({sys.float_info.max!r})\n"),
+     "numerical failure: the 0.95 quantile of the cd CDF lies beyond the largest float, "
+     "at |y|=1.7e+308, sigma=1e+307\n"),
+    # |y|/sigma at the square root of the largest float: the squared ratio
+    # d^2 = (delta/sigma)^2 overflows just above it, where both CDFs are 1
+    (("analyze", "--norm", "1.3407807929942596e154", "--sigma", "1", "--radius", "1"), None),
 ])
 def test_roots_anywhere_in_float_range(capsys, argv, failure):
     code, out, err = run_cli(capsys, *argv, "--format", "json")

@@ -37,7 +37,7 @@ MONTE_CARLO = ("mean_bayes", "mean_cd", "freq_bayes", "freq_cd",
 
 def tolerance(field: str, record: dict) -> float:
     """How far a field may move; 0 for inputs and counts."""
-    if field in ROOTS:  # the root solver's tolerance
+    if field in ROOTS:  # the roots' contract, relative below scale 1
         return 1e-10 * min(1.0, float(record["norm"]) + float(record["sigma"]))
     if field in MONTE_CARLO:
         # summaries of probabilities: another numpy may round a vector exp

@@ -186,6 +186,8 @@ class TestSummaries:
             median(obs, "posterior")
         with pytest.raises(DomainError):
             level_interval(obs, "frequentist", 0.9)
+        with pytest.raises(DomainError, match=r"^method must be 'bayes' or 'cd', got \['cd'\]$"):
+            median(obs, ["cd"])  # unhashable: no dict lookup may raise TypeError
 
     @pytest.mark.parametrize("method", ["bayes", "cd"])
     def test_median_evaluates_no_g2_pair_twice(self, monkeypatch, obs, method):
@@ -271,8 +273,9 @@ class TestStructuralDominance:
             assert abs(bayes_cdf(base, delta) - bayes_cdf(scaled, scale * delta)) <= 1e-12
 
     def test_roots_scale_equivariant_at_tiny_scales(self):
-        # the reference case shrunk far below the absolute root tolerance,
-        # and grown far above it: B(R) and C(R) do not move, roots scale by k
+        # the reference case shrunk and grown by powers of ten: B(R) and C(R)
+        # do not move, and roots, solved in delta/sigma, scale by k to a few
+        # ulps (those of k and of the division by it)
         def roots(k):
             o = Observation.from_norm(5.0 * k, 2.5 * k)
             iv = level_interval(o, "cd", 0.90)
@@ -284,7 +287,7 @@ class TestStructuralDominance:
 
         want, want_at_radius = roots(1.0), at_radius(1.0)
         for k in (1e-160, 1e-150, 1e-60, 1e-12, 1e12, 1e60, 1e160):
-            assert roots(k) == pytest.approx(want, rel=1e-9)
+            assert roots(k) == pytest.approx(want, rel=1e-15)
             assert at_radius(k) == pytest.approx(want_at_radius, rel=0.0, abs=1e-15)
 
     def test_rotation_invariance(self):

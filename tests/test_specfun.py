@@ -369,26 +369,27 @@ class TestVectorHelpers:
 
 class TestInvertMonotone:
     def test_linear(self):
-        got = invert_monotone(lambda v: v, 3.7, 10.0)
-        assert abs(got - 3.7) <= 1e-9
+        # the least float x with x >= target is the target itself
+        assert invert_monotone(lambda v: v, 3.7, 10.0) == 3.7
         # about 1,000 doublings from a tiny first guess up to the root
-        assert abs(invert_monotone(lambda v: v, 1.0, 1e-300) - 1.0) <= 1e-9
+        assert invert_monotone(lambda v: v, 1.0, 1e-300) == 1.0
 
     def test_square_root(self):
         got = invert_monotone(lambda v: v * v, 2.0, 10.0)
-        assert abs(got - math.sqrt(2.0)) <= 1e-9
+        assert abs(got - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
     def test_cdf_inversion(self):
         got = invert_monotone(lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 50.0)
         assert abs(got - 4.0) <= 1e-8
 
     def test_endpoint_targets(self):
-        assert abs(invert_monotone(lambda v: v, 0.0, 1.0)) <= 1e-9
-        assert abs(invert_monotone(lambda v: v, 1.0, 1.0) - 1.0) <= 1e-9
+        assert invert_monotone(lambda v: v, 0.0, 1.0) == 0.0
+        assert invert_monotone(lambda v: v, 1.0, 1.0) == 1.0
 
     def test_evaluation_order(self):
         # f(0) first, then hi doubling until f(hi) >= target with lo moving
         # up to each hi that fell short, then bisection of the last [lo, hi]
+        # until lo and hi are adjacent floats
         calls = []
 
         def f(v):
@@ -398,11 +399,25 @@ class TestInvertMonotone:
         got = invert_monotone(f, 10.0, 1.5)
         assert calls[:5] == [0.0, 1.5, 3.0, 6.0, 12.0]
         lo, hi, mids = 6.0, 12.0, []
-        while hi - lo > 1e-10:
+        while math.nextafter(lo, hi) < hi:
             mids.append(0.5 * (lo + hi))
             lo, hi = (mids[-1], hi) if mids[-1] < 10.0 else (lo, mids[-1])
         assert calls[5:] == mids and mids[:2] == [9.0, 10.5]
-        assert got == 0.5 * (lo + hi) and abs(got - 10.0) <= 1e-10
+        assert got == hi == 10.0 and math.nextafter(lo, math.inf) == hi
+
+    def test_root_is_least_float_reaching_target(self):
+        # f(root) >= target > f(the float below root), at every scale
+        cases = [
+            (lambda v: v * v, 2.0, 10.0),
+            (lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 50.0),
+            (lambda v: noncentral_chisq2_cdf(v, 1e6), 0.95, 1.0),
+            (lambda v: 1e-300 * v, 3e-300, 1.0),
+            (lambda v: v / 3.0, 1.5e-323, 1.0),  # a subnormal root
+            (lambda v: math.sqrt(v), 1.2e154, math.inf),
+        ]
+        for f, target, hi in cases:
+            root = invert_monotone(f, target, hi)
+            assert f(root) >= target > f(math.nextafter(root, 0.0)), (target, root)
 
     def test_target_covered_at_zero_returns_zero(self):
         for target in (-1.0, 0.25):
@@ -410,16 +425,11 @@ class TestInvertMonotone:
             assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target, 10.0) == 0.0
             assert calls == [0.0]
 
-    def test_zero_tolerance_runs_to_float_resolution(self):
-        got = invert_monotone(lambda v: v * v, 2.0, 10.0, tol=0.0)
-        assert abs(got - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
-
     def test_infinite_first_guess_finds_root_beyond_1e308(self):
         # the bracket starts at the largest float, and midpoints above half
         # of it are formed without overflowing lo + hi
         target = 1.5e308
-        got = invert_monotone(lambda v: v, target, math.inf)
-        assert 1e308 < got and abs(got - target) <= 1e-10 * target
+        assert invert_monotone(lambda v: v, target, math.inf) == target
 
     def test_unreachable_target(self):
         # from the first guess 1.0, every power of two up to 2^1023, then
@@ -446,15 +456,8 @@ class TestInvertMonotone:
         for hi in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match=f"^hi .*, got {hi!r}$"):
                 invert_monotone(lambda v: v, 0.5, hi)
-        for tol in (-1e-10, math.nan):
-            with pytest.raises(DomainError, match=f"^tol .*, got {tol!r}$"):
-                invert_monotone(lambda v: v, 0.5, 1.0, tol=tol)
         with pytest.raises(DomainError, match="^target .*, got nan$"):
             invert_monotone(lambda v: v, math.nan, 1.0)
-
-    def test_tiny_tolerance_terminates(self):
-        got = invert_monotone(lambda v: v * v, 2.0, 10.0, tol=1e-300)
-        assert abs(got - math.sqrt(2.0)) <= 1e-15
 
 
 class TestArgumentChecks:
