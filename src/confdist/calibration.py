@@ -186,10 +186,9 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     # exp(-x0/2) at z = 0; a threshold at or below that gives the root 0,
     # and G2(0, nu0) = 0 then makes the frequency exactly 1.
     # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1.
-    nu_star = invert_monotone(lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold,
-                              nu0 + x0 + 10.0)
+    nu_star = invert_monotone(lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold)
     freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
-    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold, x0 + 20.0)
+    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold)
     freq_cd = 1.0 - noncentral_chisq2_cdf(z_star, nu0)
 
     return ExactRow(mean_bayes, mean_cd, freq_bayes, freq_cd)

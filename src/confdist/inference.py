@@ -110,16 +110,13 @@ def cd_cdf(obs: Observation, delta: float) -> float:
 
 def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
     # (p-quantile, whether the zero atom covers p by itself), solved in
-    # d = delta/sigma so that roots scale with the inputs bit for bit. The
-    # first guess lies above |y|/sigma even where 10 is below its resolution.
-    # Where d^2 overflows, y2 is finite and both CDFs are 1.
+    # d = delta/sigma so that roots scale with the inputs bit for bit.
+    # Where d^2 overflows (quietly, as d is a Python float), y2 is finite and both CDFs are 1.
     if not isinstance(method, str) or method not in _CDF:
         raise DomainError(f"method must be 'bayes' or 'cd', got {method!r}")
     cdf = _CDF[method]
     y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=0.0)
-    a = obs.norm / obs.sigma
-    d = invert_monotone(lambda d: cdf(d * d, y2) if d * d < math.inf else 1.0, p,
-                        max(a + 10.0, math.nextafter(a, math.inf)))
+    d = invert_monotone(lambda d: cdf(d * d, y2) if d * d < math.inf else 1.0, p)
     root = d * obs.sigma
     if root == math.inf:
         raise BracketError(f"the {p!r} quantile of the {method} CDF lies beyond the largest float, "

@@ -3,19 +3,19 @@
 Self-contained implementations of the scaled modified Bessel function
 exp(-x) I0(x), the noncentral chi-square CDF with 2 degrees of freedom
 (scalar, and broadcast over arrays), and the one root solver:
-invert_monotone, the generalized inverse inf{x >= 0 : f(x) >= target} of
-a nondecreasing f, which finds its own upper bracket anywhere in the float
-range, returns 0 for a target an atom at 0 covers, and otherwise bisects
-to float resolution.
+invert_monotone, which returns 0 for a target an atom at 0 covers and
+otherwise bisects the floats of [0, largest float] by their bit patterns.
 All of it is deterministic: a float series for small arguments (with a
 numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
 that scalar and array calls share. The accuracy contracts are stated per
-function; a root is the least float at which f reaches the target.
+function; a root is where f crosses the target between adjacent floats,
+the least float at which f reaches it if f is nondecreasing across floats.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from typing import Callable
 
@@ -49,8 +49,6 @@ _EXP_LIMIT = 700.0
 _POISSON_TAIL = 1e-14
 # [0, 1] results may stray this far outside before we call it a failure
 _PROB_SLACK = 1e-9
-# the largest float, where invert_monotone's bracket ends
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 # the most rows of an (n, 2) float64 array: numpy refuses one whose byte
 # size exceeds sys.maxsize, so a larger count of draws or points is refused first
 MAX_ROWS = sys.maxsize // 16
@@ -194,8 +192,9 @@ def _i0e_asymptotic(r):
 
 def _not_a_probability(x, nu, p) -> ConvergenceError:
     # the [0, 1] guard's one error, scalar or vector, built only on failure
+    regime = "Rice rule" if max(x, nu) > _DIRECT_LIMIT else "direct series"
     return ConvergenceError(f"noncentral_chisq2_cdf({float(x)!r}, {float(nu)!r}) "
-                            f"produced {float(p)!r}, outside [0, 1]")
+                            f"produced {float(p)!r} by the {regime}, outside [0, 1]")
 
 
 def _cdf_series_direct(lam: float, h: float) -> float:
@@ -216,6 +215,28 @@ def _cdf_series_direct(lam: float, h: float) -> float:
         q += t
         g = 1.0 - q
         if g <= 0.0:
+            break  # remaining factors vanish at float precision
+        acc += w * g
+    return acc
+
+
+def _cdf_series_grid(lam: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # _cdf_series_direct broadcast over lam and h, with w and t in their shapes
+    w = np.exp(-lam)
+    cumw = w.copy()
+    t = np.exp(-h)
+    q = t.copy()
+    acc = np.zeros(np.broadcast_shapes(lam.shape, h.shape))  # an array even for 0-d inputs
+    acc += w * (1.0 - q)
+    for k in range(1, _DIRECT_TERMS):
+        if 1.0 - cumw.min() <= _POISSON_TAIL:
+            break
+        w *= lam / k
+        cumw += w
+        t *= h / k
+        q += t
+        g = np.maximum(1.0 - q, 0.0)
+        if not g.any():
             break  # remaining factors vanish at float precision
         acc += w * g
     return acc
@@ -285,28 +306,9 @@ def _cdf_grid(x, nu) -> np.ndarray:
     for name, values in (("x", x), ("nu", nu)):
         for extreme in (values.min(), values.max()):  # a nan is both
             require_nonnegative(name, extreme)
-    # vector twin of the direct series, w and t in the shapes of nu and x;
-    # lam = 0 where nu is large keeps exp(-lam) normal and the loop finite,
+    # lam = 0 where nu is large keeps exp(-lam) normal and the series finite,
     # and the Rice quadrature then fills in every element with a large argument
-    lam = np.where(nu > _DIRECT_LIMIT, 0.0, 0.5 * nu)
-    h = 0.5 * x
-    w = np.exp(-lam)
-    cumw = w.copy()
-    t = np.exp(-h)
-    q = t.copy()
-    acc = np.zeros(shape)  # an array even when x and nu are both 0-d
-    acc += w * (1.0 - q)
-    for k in range(1, _DIRECT_TERMS):
-        if 1.0 - cumw.min() <= _POISSON_TAIL:
-            break
-        w *= lam / k
-        cumw += w
-        t *= h / k
-        q += t
-        g = np.maximum(1.0 - q, 0.0)
-        if not g.any():
-            break  # remaining factors vanish at float precision
-        acc += w * g
+    acc = _cdf_series_grid(np.where(nu > _DIRECT_LIMIT, 0.0, 0.5 * nu), 0.5 * x)
     large = np.maximum(x, nu) > _DIRECT_LIMIT
     acc[large] = _g2_rice(np.broadcast_to(x, shape)[large], np.broadcast_to(nu, shape)[large])
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
@@ -317,31 +319,30 @@ def _cdf_grid(x, nu) -> np.ndarray:
     return np.clip(acc, 0.0, 1.0)
 
 
-def invert_monotone(f: Callable[[float], float], target: float, hi: float) -> float:
-    """inf{x >= 0 : f(x) >= target} for a nondecreasing f on [0, inf), by bisection.
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    Returns 0.0 when f(0) >= target, so an atom of a CDF at 0 needs no
-    special case. Otherwise hi > 0 is a first guess, inf standing for the
-    largest float: while f(hi) < target, lo moves up to hi and hi doubles,
-    never past the largest float, and BracketError names the target and the
-    largest float if f never gets there. Each point is evaluated once.
-    Bisection of the last [lo, hi] stops when lo and hi are adjacent floats
-    and returns hi, the least float x with f(x) >= target.
+
+def invert_monotone(f: Callable[[float], float], target: float) -> float:
+    """The float hi at which f crosses target, in at most 65 calls of f.
+
+    hi = 0.0 when f(0) >= target; else f(lo) < target <= f(hi) for lo the
+    float below hi, so hi = inf{x >= 0 : f(x) >= target} where f is
+    nondecreasing across floats. Bisects the bit patterns of 0 and of the
+    largest float, in which nonnegative floats sort, calling f once per
+    point with a Python float: f(0), f(largest), then at most 63 midpoints.
+    BracketError names target and the largest float if f stays below there.
     """
-    hi = require_positive("hi", min(float(hi), _FLOAT_MAX))  # a nan hi stays nan
     target = require_finite("target", target)
-    lo = 0.0
-    if f(lo) >= target:
-        return lo
-    while f(hi) < target:
-        if hi == _FLOAT_MAX:
-            raise BracketError(f"f stays below target {target!r} up to f({hi!r})")
-        lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)
-    while math.nextafter(lo, hi) < hi:
-        # lo + hi can overflow only when hi exceeds half the largest float
-        mid = 0.5 * (lo + hi) if hi <= 0.5 * _FLOAT_MAX else 0.5 * lo + 0.5 * hi
-        if f(mid) < target:
+    if f(0.0) >= target:
+        return 0.0
+    if f(sys.float_info.max) < target:
+        raise BracketError(f"f stays below target {target!r} up to f({sys.float_info.max!r})")
+    lo, hi = 0, 0x7FEFFFFFFFFFFFFF  # the bits of 0.0 and of the largest float
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(_float_of_bits(mid)) < target:
             lo = mid
         else:
             hi = mid
-    return hi
+    return _float_of_bits(hi)

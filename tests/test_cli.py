@@ -421,11 +421,11 @@ def test_overflowing_sigma_is_named(capsys, argv):
     # subnormal scales: each root d * sigma, d = delta/sigma, rounds to a subnormal
     (("analyze", "--norm", "1e-320", "--sigma", "1e-320", "--radius", "1e-320"), None),
     (("analyze", "--norm", "3e-315", "--sigma", "3e-315", "--radius", "3e-315"), None),
-    # first guess |y| + 10 sigma overflows; the bracket starts at the largest float
+    # |y| + 10 sigma overflows: roots near the top of the float range
     (("analyze", "--norm", "1e308", "--sigma", "1e307", "--radius", "1e308"), None),
-    # |y| + 10 sigma rounds to |y|; the first guess stays above it
+    # |y| + 10 sigma rounds to |y|: roots where 10 is below the float resolution
     (("analyze", "--norm", "1e154", "--sigma", "1", "--radius", "1e154"), None),
-    # exact_row's first guess overflows, and so would lo + hi
+    # exact_row's roots lie above half the largest float
     (("sweep", "--delta-true", "1.3e154", "--radius", "1e154", "--sigma-grid", "1",
       "--n-reps", "2"), None),
     # the 0.95 quantiles, about 1.86e308, lie beyond the largest float: the

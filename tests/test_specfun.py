@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 import sys
 import tracemalloc
 
@@ -206,14 +207,20 @@ class TestNoncentralChisq2Cdf:
                 noncentral_chisq2_cdf(1.0, bad)
 
     def test_result_clamped_or_rejected_outside_unit_interval(self, monkeypatch):
-        # each raw result on the direct (x = 1) and the Rice (x = 2000) path
+        # each raw result on the direct (x = 1) and the Rice (x = 2000 or
+        # nu = 2000) path, scalar and vector; a rejection names the regime
         for raw, want in OUTSIDE_UNIT:
             monkeypatch.setattr(specfun, "_cdf_series_direct", lambda lam, h: raw)
+            monkeypatch.setattr(specfun, "_cdf_series_grid",
+                                lambda lam, h: np.full(np.broadcast(lam, h).shape, raw))
             monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, raw))
-            for x in (1.0, 2000.0):
-                message = f"noncentral_chisq2_cdf({x!r}, 1.0) produced {raw!r}, outside [0, 1]"
+            for x, nu, regime in ((1.0, 1.0, "direct series"), (2000.0, 1.0, "Rice rule"),
+                                  (1.0, 2000.0, "Rice rule")):
+                message = (f"noncentral_chisq2_cdf({x!r}, {nu!r}) produced {raw!r} "
+                           f"by the {regime}, outside [0, 1]")
                 want_outcome = message if want is None else repr(want)
-                assert _clamped_or_message(noncentral_chisq2_cdf, x, 1.0) == want_outcome
+                assert _clamped_or_message(noncentral_chisq2_cdf, x, nu) == want_outcome
+                assert _clamped_or_message(_cdf_grid, np.array([x]), nu) == want_outcome
 
     def test_series_bounded_without_tail_stop(self, monkeypatch):
         # with no tail bound the loops run until the Poisson(h) CDF reaches 1,
@@ -257,7 +264,7 @@ class TestNoncentralChisq2Cdf:
         # and a longer one names its first offending element
         monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, 1.5))
         with pytest.raises(ConvergenceError, match=re.escape(
-                "noncentral_chisq2_cdf(2000.0, 1.0) produced 1.5, outside [0, 1]")):
+                "noncentral_chisq2_cdf(2000.0, 1.0) produced 1.5 by the Rice rule, outside")):
             _cdf_grid(np.array([1.0, 2000.0, 3000.0]), 1.0)
 
 
@@ -367,97 +374,108 @@ class TestVectorHelpers:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _bits(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 class TestInvertMonotone:
     def test_linear(self):
-        # the least float x with x >= target is the target itself
-        assert invert_monotone(lambda v: v, 3.7, 10.0) == 3.7
-        # about 1,000 doublings from a tiny first guess up to the root
-        assert invert_monotone(lambda v: v, 1.0, 1e-300) == 1.0
+        # the least float x with x >= target is the target itself, from the
+        # least subnormal to the largest float, in at most 65 calls of f
+        for target in (5e-324, 1e-300, 1.0, 3.7, 1.5e308, sys.float_info.max):
+            calls = []
+            assert invert_monotone(lambda v: calls.append(v) or v, target) == target
+            assert len(calls) <= 65, (target, len(calls))
 
     def test_square_root(self):
-        got = invert_monotone(lambda v: v * v, 2.0, 10.0)
+        got = invert_monotone(lambda v: v * v, 2.0)
         assert abs(got - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
     def test_cdf_inversion(self):
-        got = invert_monotone(lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 50.0)
+        got = invert_monotone(lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064)
         assert abs(got - 4.0) <= 1e-8
 
     def test_endpoint_targets(self):
-        assert invert_monotone(lambda v: v, 0.0, 1.0) == 0.0
-        assert invert_monotone(lambda v: v, 1.0, 1.0) == 1.0
+        # the roots at both ends of the bracket
+        assert invert_monotone(lambda v: v, 0.0) == 0.0
+        assert invert_monotone(lambda v: v, sys.float_info.max) == sys.float_info.max
 
     def test_evaluation_order(self):
-        # f(0) first, then hi doubling until f(hi) >= target with lo moving
-        # up to each hi that fell short, then bisection of the last [lo, hi]
-        # until lo and hi are adjacent floats
+        # f(0) first, then f(largest float), then the floats at the midpoints
+        # of the bit patterns of [0, largest float], until the patterns of lo
+        # and hi are adjacent; every point reaches f as a Python float
         calls = []
 
         def f(v):
             calls.append(v)
             return v
 
-        got = invert_monotone(f, 10.0, 1.5)
-        assert calls[:5] == [0.0, 1.5, 3.0, 6.0, 12.0]
-        lo, hi, mids = 6.0, 12.0, []
-        while math.nextafter(lo, hi) < hi:
-            mids.append(0.5 * (lo + hi))
-            lo, hi = (mids[-1], hi) if mids[-1] < 10.0 else (lo, mids[-1])
-        assert calls[5:] == mids and mids[:2] == [9.0, 10.5]
-        assert got == hi == 10.0 and math.nextafter(lo, math.inf) == hi
+        got = invert_monotone(f, 10.0)
+        assert calls[:2] == [0.0, sys.float_info.max]
+        lo, hi, mids = 0, _bits(sys.float_info.max), []
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            mids.append(_float(mid))
+            lo, hi = (mid, hi) if mids[-1] < 10.0 else (lo, mid)
+        assert calls[2:] == mids and mids[0] == math.nextafter(1.5, 0.0)
+        assert got == _float(hi) == 10.0 and math.nextafter(_float(lo), math.inf) == got
+        assert len(calls) == 65 and all(type(v) is float for v in calls)
 
     def test_root_is_least_float_reaching_target(self):
         # f(root) >= target > f(the float below root), at every scale
         cases = [
-            (lambda v: v * v, 2.0, 10.0),
-            (lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064, 50.0),
-            (lambda v: noncentral_chisq2_cdf(v, 1e6), 0.95, 1.0),
-            (lambda v: 1e-300 * v, 3e-300, 1.0),
-            (lambda v: v / 3.0, 1.5e-323, 1.0),  # a subnormal root
-            (lambda v: math.sqrt(v), 1.2e154, math.inf),
+            (lambda v: v * v, 2.0),
+            (lambda v: noncentral_chisq2_cdf(v, 0.64), G2_AT_4_064),
+            (lambda v: noncentral_chisq2_cdf(v, 1e6), 0.95),
+            (lambda v: 1e-300 * v, 3e-300),
+            (lambda v: v / 3.0, 1.5e-323),  # a subnormal root
+            (lambda v: math.sqrt(v), 1.2e154),
         ]
-        for f, target, hi in cases:
-            root = invert_monotone(f, target, hi)
+        for f, target in cases:
+            root = invert_monotone(f, target)
             assert f(root) >= target > f(math.nextafter(root, 0.0)), (target, root)
+
+    def test_non_monotone_f_gives_a_crossing(self):
+        # f reaches the target on an island [1e-300, 2e-300] that the bisection
+        # never probes; the root is still a crossing between adjacent floats
+        def f(v):
+            return 1.0 if 1e-300 <= v <= 2e-300 else (0.0 if v < 1.0 else v)
+
+        root = invert_monotone(f, 0.5)
+        assert f(root) >= 0.5 > f(math.nextafter(root, 0.0))
+        assert root == 1.0 and f(1.5e-300) >= 0.5  # not the least float reaching 0.5
 
     def test_target_covered_at_zero_returns_zero(self):
         for target in (-1.0, 0.25):
             calls = []
-            assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target, 10.0) == 0.0
+            assert invert_monotone(lambda v: calls.append(v) or 0.25 + v, target) == 0.0
             assert calls == [0.0]
 
-    def test_infinite_first_guess_finds_root_beyond_1e308(self):
-        # the bracket starts at the largest float, and midpoints above half
-        # of it are formed without overflowing lo + hi
-        target = 1.5e308
-        assert invert_monotone(lambda v: v, target, math.inf) == target
-
     def test_unreachable_target(self):
-        # from the first guess 1.0, every power of two up to 2^1023, then
-        # the largest float, and no doubling cap before it
+        # f(0) and f(largest float), and no further call
         calls = []
         largest = sys.float_info.max
         with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({largest!r})")):
-            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, 1.0)
-        assert calls == [0.0] + [2.0 ** k for k in range(1024)] + [largest]
+            invert_monotone(lambda v: calls.append(v) or 0.0, 1.0)
+        assert calls == [0.0, largest]
 
     def test_target_beyond_largest_float(self):
-        # doubling runs from any first guess, however small, up to the
-        # largest float and no further
+        # f reaches the target only at twice the largest float
+        calls = []
         largest = sys.float_info.max
-        for hi in (1e300, 5e-324):
-            calls = []
-            with pytest.raises(BracketError, match=re.escape(f"target 1.0 up to f({largest!r})")):
-                invert_monotone(lambda v: calls.append(v) or 0.0, 1.0, hi)
-            assert calls[0] == 0.0 and calls[-1] == largest
-            assert calls[1:-1] == [math.ldexp(hi, k) for k in range(len(calls) - 2)]
-        assert len(calls) == 2100  # the worst case: 2^-1074 doubles 2097 times
+        message = re.escape(f"target {largest!r} up to f({largest!r})")
+        with pytest.raises(BracketError, match=message):
+            invert_monotone(lambda v: calls.append(v) or 0.5 * v, largest)
+        assert calls == [0.0, largest]
 
     def test_domain_errors(self):
-        for hi in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError, match=f"^hi .*, got {hi!r}$"):
-                invert_monotone(lambda v: v, 0.5, hi)
-        with pytest.raises(DomainError, match="^target .*, got nan$"):
-            invert_monotone(lambda v: v, math.nan, 1.0)
+        for target in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"^target .*, got {target!r}$"):
+                invert_monotone(lambda v: v, target)
 
 
 class TestArgumentChecks:
