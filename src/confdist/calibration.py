@@ -8,17 +8,19 @@ sigma^2 I). Reproducibility contract: sigma index s of a sweep owns the
 generator PCG64(SeedSequence(seed, spawn_key=(s,))) and a PIT sample owns
 PCG64(SeedSequence(seed, spawn_key=())); replicate r is row r of one
 normal((delta_true, 0), sigma, size=(n, 2)) draw from that generator.
-Results are a pure function of the seed, so they are byte-identical
-across runs and worker counts; reductions happen in replicate order.
-The stream changed once, from one substream per replicate keyed by
-(s, r) or (r,), so samples from before that change differ for a seed.
+That draw is taken and evaluated in blocks of _DRAW_ROWS rows, which
+concatenate to it. Results are a pure function of the seed, so they are
+byte-identical across runs and worker counts; reductions happen in
+replicate order over the whole sample. The stream changed once, from one
+substream per replicate keyed by (s, r) or (r,), so samples from before
+that change differ for a seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 # unused: kept until the benchmark stops timing its import (ROADMAP item 1)
@@ -26,6 +28,8 @@ import scipy.integrate  # noqa: F401
 
 from .specfun import (
     MAX_ROWS,
+    BracketError,
+    ConvergenceError,
     DomainError,
     _cdf_grid,
     bessel_i0_scaled,
@@ -49,6 +53,12 @@ __all__ = [
     "exact_row",
     "pit_sample",
 ]
+
+# rows per block, which bounds a sample's temporaries; no pit or cd value
+# depends on it, but a Bayes value's last bits may, as the vector series
+# stops once every element of its block has converged
+_DRAW_ROWS = 1 << 12
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -144,14 +154,19 @@ def _squared_norm_ratios(
     seed: int,
     key: tuple[int, ...],
     n: int,
-) -> np.ndarray:
-    """z_r = (|y_r|/sigma)^2 for replicates r = 0..n-1, the rows of one
-    (n, 2) draw from the substream keyed by key; |y_r| is formed as
-    Observation.norm forms it."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, z) per block of at most _DRAW_ROWS replicates, in order, with
+    z_r = (|y_r|/sigma)^2 for replicates r = start..start+len(z)-1. Each block
+    is the next normal((delta_true, 0), sigma, size=(m, 2)) draw from the
+    substream keyed by key, so the blocks concatenate to the rows of one
+    (n, 2) draw; |y_r| is formed as Observation.norm forms it."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-    y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(n, 2))
-    norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, n)
-    return require_squared_ratio("|y|", norm, scenario.sigma, delta_true=scenario.delta_true)
+    for start in range(0, n, _DRAW_ROWS):
+        m = min(_DRAW_ROWS, n - start)
+        y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(m, 2))
+        norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, m)
+        yield start, require_squared_ratio("|y|", norm, scenario.sigma,
+                                           delta_true=scenario.delta_true)
 
 
 def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
@@ -186,9 +201,18 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     # exp(-x0/2) at z = 0; a threshold at or below that gives the root 0,
     # and G2(0, nu0) = 0 then makes the frequency exactly 1.
     # CD side: 1 - C = Gamma2(z, x0), increasing in z from 0 toward 1.
-    nu_star = invert_monotone(lambda v: 1.0 - noncentral_chisq2_cdf(x0, v), threshold)
+    def threshold_root(name, f):
+        try:
+            return invert_monotone(f, threshold)
+        except (BracketError, ConvergenceError) as exc:
+            raise type(exc)(f"exact_row's {name} failed at delta_true={scenario.delta_true!r}, "
+                            f"radius={scenario.radius!r}, sigma={sigma!r}, "
+                            f"threshold={threshold!r}: {exc}") from exc
+
+    nu_star = threshold_root("Bayes threshold root nu_star",
+                             lambda v: 1.0 - noncentral_chisq2_cdf(x0, v))
     freq_bayes = 1.0 - noncentral_chisq2_cdf(nu_star, nu0)
-    z_star = invert_monotone(lambda z: noncentral_chisq2_cdf(z, x0), threshold)
+    z_star = threshold_root("cd threshold root z_star", lambda z: noncentral_chisq2_cdf(z, x0))
     freq_cd = 1.0 - noncentral_chisq2_cdf(z_star, nu0)
 
     return ExactRow(mean_bayes, mean_cd, freq_bayes, freq_cd)
@@ -202,11 +226,12 @@ def run_sweep(
 ) -> list[CalibrationRow]:
     """Monte Carlo calibration sweep over the configured noise scales.
 
-    For each sigma, draws config.n_reps observations, evaluates the
-    non-collision probabilities 1 - B(R|Y) and 1 - C(R|Y) per replicate,
-    and summarizes them alongside their exact twins. workers is validated
-    and otherwise ignored: sampling is one vector draw per sigma, so
-    outputs are identical for any worker count. It stays in the signature
+    For each sigma, draws config.n_reps observations block by block,
+    evaluates the non-collision probabilities 1 - B(R|Y) and 1 - C(R|Y)
+    per replicate into two n-arrays (16 bytes per replicate), and
+    summarizes them alongside their exact twins. workers is validated
+    and otherwise ignored: sampling is one stream per sigma, so outputs
+    are identical for any worker count. It stays in the signature
     because the CLI passes --workers through it, which is where the
     benchmark's tracer reads the worker count of each sweep.
     """
@@ -215,10 +240,13 @@ def run_sweep(
     rows = []
     for s_idx, sigma in enumerate(config.sigma_grid):
         scenario = Scenario(delta_true, sigma, radius)
-        z = _squared_norm_ratios(scenario, config.seed, (s_idx,), n)
-        x0 = require_squared_ratio("radius", scenario.radius, sigma)
-        noncol_bayes = 1.0 - _cdf_grid(x0, z)
-        noncol_cd = _cdf_grid(z, x0)
+        noncol_bayes = np.empty(n)
+        noncol_cd = np.empty(n)
+        for start, z in _squared_norm_ratios(scenario, config.seed, (s_idx,), n):
+            # checked after block 0's |y|, as it was after the whole draw's
+            x0 = require_squared_ratio("radius", scenario.radius, sigma)
+            noncol_bayes[start : start + z.size] = 1.0 - _cdf_grid(x0, z)
+            noncol_cd[start : start + z.size] = _cdf_grid(z, x0)
         exact = exact_row(scenario, config.threshold)
         freq_bayes = float(np.count_nonzero(noncol_bayes > config.threshold)) / n
         freq_cd = float(np.count_nonzero(noncol_cd > config.threshold)) / n
@@ -259,20 +287,29 @@ def pit_sample(
     U is uniform on (0, 1) exactly when delta_true equals the radius;
     smaller true distances shift it left, larger ones right. Reports the
     two-sided KS statistic against uniformity, a 20-bin histogram, and the
-    sample mean.
+    sample mean. U is evaluated block by block into one n-array (8 bytes
+    per replicate), which is sorted in place for the KS statistic.
     """
     n = require_count("n", n, 100, MAX_ROWS)
     seed = require_count("seed", seed, 0)
-    z = _squared_norm_ratios(scenario, seed, (), n)
-    x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
-    u = _cdf_grid(z, x0)
-    ranked = np.sort(u)
-    steps = np.arange(1, n + 1) / n
-    ks = max(float((steps - ranked).max()), float((ranked - steps + 1.0 / n).max()))
-    counts = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+    u = np.empty(n)
+    counts = np.zeros(20, dtype=np.int64)
+    for start, z in _squared_norm_ratios(scenario, seed, (), n):
+        # checked after block 0's |y|, as it was after the whole draw's
+        x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
+        block = u[start : start + z.size]
+        block[:] = _cdf_grid(z, x0)
+        counts += np.histogram(block, bins=20, range=(0.0, 1.0))[0]
+    mean_u = float(u.mean())  # before the sort: a pairwise sum depends on the order
+    u.sort()
+    ks = -math.inf
+    for start in range(0, n, _DRAW_ROWS):
+        ranked = u[start : start + _DRAW_ROWS]
+        steps = np.arange(start + 1, start + ranked.size + 1) / n
+        ks = max(ks, float((steps - ranked).max()), float((ranked - steps + 1.0 / n).max()))
     return PitSummary(
         n=n,
         ks_stat=ks,
         histogram=tuple(int(c) for c in counts),
-        mean_u=float(u.mean()),
+        mean_u=mean_u,
     )

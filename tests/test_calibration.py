@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from confdist import (
     run_sweep,
 )
 from confdist import calibration
-from confdist.specfun import noncentral_chisq2_cdf
+from confdist import specfun
+from confdist.specfun import ConvergenceError, _cdf_grid, noncentral_chisq2_cdf
 from oracles import mp_exact_means
 
 # Exact sweep quantities for delta_true = 1.99, radius = 2.00 on part of
@@ -74,6 +76,20 @@ class TestScenarioAndConfig:
             SweepConfig(sigma_grid=(1.0,), n_reps=10, seed=0, threshold=1.0)
 
 
+def _ratios(scen: Scenario, seed: int, key: tuple[int, ...], n: int) -> np.ndarray:
+    # the blocks of _squared_norm_ratios, concatenated
+    return np.concatenate([z for _, z in calibration._squared_norm_ratios(scen, seed, key, n)])
+
+
+def _one_draw(scen: Scenario, seed: int, key: tuple[int, ...], n: int) -> np.ndarray:
+    # the rows of one (n, 2) normal draw from the keyed substream
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return rng.normal((scen.delta_true, 0.0), scen.sigma, size=(n, 2))
+
+
+BLOCK = calibration._DRAW_ROWS
+
+
 class TestSquaredNormRatios:
     def test_moments(self):
         # z = |y|^2 / sigma^2 is noncentral chi-square with 2 df and
@@ -82,7 +98,7 @@ class TestSquaredNormRatios:
         # fourth cumulant k4 = 48 (2 + 4 nu0)
         scen = Scenario(1.99, 1.0, 2.0)
         n = 100_000
-        z = calibration._squared_norm_ratios(scen, 42, (0,), n)
+        z = _ratios(scen, 42, (0,), n)
         nu0 = (scen.delta_true / scen.sigma) ** 2
         var = 4.0 + 4.0 * nu0
         assert abs(z.mean() - (nu0 + 2.0)) <= 4.0 * math.sqrt(var / n)
@@ -91,15 +107,27 @@ class TestSquaredNormRatios:
 
     def test_tiny_noise_concentrates(self):
         scen = Scenario(3.0, 1e-9, 2.0)
-        z = calibration._squared_norm_ratios(scen, 0, (), 10)
+        z = _ratios(scen, 0, (), 10)
         assert np.all(np.abs(np.sqrt(z) * scen.sigma - 3.0) < 1e-7)
 
     def test_deterministic_given_seed_and_key(self):
         scen = Scenario(1.5, 0.8, 2.0)
-        a = calibration._squared_norm_ratios(scen, 123, (1,), 50)
-        assert np.array_equal(a, calibration._squared_norm_ratios(scen, 123, (1,), 50))
+        a = _ratios(scen, 123, (1,), 50)
+        assert np.array_equal(a, _ratios(scen, 123, (1,), 50))
         for other in ((), (0,), (2,), (1, 0)):
-            assert not np.array_equal(a, calibration._squared_norm_ratios(scen, 123, other, 50))
+            assert not np.array_equal(a, _ratios(scen, 123, other, 50))
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_concatenate_to_one_draw(self, n):
+        # the stream contract across block edges: replicate r is row r of one
+        # (n, 2) draw, its |y| from math.hypot, bit for bit
+        scen = Scenario(1.99, 0.7, 2.0)
+        blocks = list(calibration._squared_norm_ratios(scen, 9, (2,), n))
+        assert [start for start, _ in blocks] == list(range(0, n, BLOCK))
+        assert all(z.size == min(BLOCK, n - start) for start, z in blocks)
+        ratio = np.array([math.hypot(y1, y2) for y1, y2 in _one_draw(scen, 9, (2,), n).tolist()])
+        ratio /= scen.sigma
+        assert np.concatenate([z for _, z in blocks]).tobytes() == (ratio * ratio).tobytes()
 
 
 class TestExactRow:
@@ -156,6 +184,25 @@ class TestExactRow:
             exact_row(Scenario(2.0, 1.0, 2.0), threshold=0.0)
         with pytest.raises(DomainError):
             exact_row(Scenario(2.0, 1.0, 2.0), threshold=1.0)
+
+    @pytest.mark.parametrize("root, stray_at, g2_args", [
+        ("Bayes threshold root nu_star", lambda lam, h: h == 2.0, "4.0, 0.0"),  # G2(x0, v)
+        ("cd threshold root z_star", lambda lam, h: lam == 2.0, "0.0, 4.0"),  # G2(z, x0)
+    ])
+    def test_failed_root_is_named(self, monkeypatch, root, stray_at, g2_args):
+        # a G2 result outside [0, 1] inside one threshold root (x0 = 4): the
+        # error names that root and the row's inputs, and chains the guard's error
+        series = specfun._cdf_series_direct
+        monkeypatch.setattr(specfun, "_cdf_series_direct",
+                            lambda lam, h: 1.5 if stray_at(lam, h) else series(lam, h))
+        with pytest.raises(ConvergenceError) as info:
+            exact_row(Scenario(1.99, 1.0, 2.0), threshold=0.95)
+        guard = (f"noncentral_chisq2_cdf({g2_args}) produced 1.5 by the direct series, "
+                 "outside [0, 1]")
+        assert str(info.value) == (f"exact_row's {root} failed at delta_true=1.99, radius=2.0, "
+                                   f"sigma=1.0, threshold=0.95: {guard}")
+        assert isinstance(info.value.__cause__, ConvergenceError)
+        assert str(info.value.__cause__) == guard
 
 
 class TestRunSweep:
@@ -259,8 +306,7 @@ class TestPitSample:
 def _documented_stream(scen: Scenario, seed: int, key: tuple[int, ...], n: int):
     # replicate r is row r of one (n, 2) normal draw from the substream
     # PCG64(SeedSequence(seed, spawn_key=key)), as the module docstring states
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-    y = rng.normal((scen.delta_true, 0.0), scen.sigma, size=(n, 2))
+    y = _one_draw(scen, seed, key, n)
     return [Observation(float(y1), float(y2), scen.sigma) for y1, y2 in y]
 
 
@@ -296,6 +342,74 @@ class TestSamplingContract:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert (run_sweep(1.99, 2.0, cfg, workers=4), pit_sample(scen, 500, 3)) == base
+
+
+class TestBlockedSampling:
+    # three blocks, the last of 3 rows, against one draw reduced in one pass
+    N = 2 * BLOCK + 3
+
+    def _unblocked(self, scen: Scenario, seed: int, key: tuple[int, ...]):
+        norm = [math.hypot(y1, y2) for y1, y2 in _one_draw(scen, seed, key, self.N).tolist()]
+        ratio = np.array(norm) / scen.sigma
+        radius_ratio = scen.radius / scen.sigma
+        return ratio * ratio, radius_ratio * radius_ratio
+
+    # x0 = 0.64 takes the direct series, x0 = 1600 the Rice rule; at these
+    # seeds the sorted u sums to another mean, so the mean's order is checked
+    @pytest.mark.parametrize("scen, seed", [(Scenario(2.0, 2.5, 2.0), 8),
+                                            (Scenario(2.1, 0.05, 2.0), 9)])
+    def test_pit_matches_unblocked_reference(self, scen, seed):
+        n = self.N
+        z, x0 = self._unblocked(scen, seed, ())
+        u = _cdf_grid(z, x0)
+        ranked = np.sort(u)
+        steps = np.arange(1, n + 1) / n
+        ks = max(float((steps - ranked).max()), float((ranked - steps + 1.0 / n).max()))
+        counts = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+        want = PitSummary(n, ks, tuple(int(c) for c in counts), float(u.mean()))
+        assert float(ranked.mean()) != want.mean_u
+        assert pit_sample(scen, n, seed) == want
+
+    def test_sweep_matches_unblocked_reference(self):
+        n = self.N
+        cfg = SweepConfig(sigma_grid=(0.05, 0.5, 2.0), n_reps=n, seed=4)
+        for s_idx, row in enumerate(run_sweep(1.99, 2.0, cfg)):
+            scen = Scenario(1.99, row.sigma, 2.0)
+            z, x0 = self._unblocked(scen, 4, (s_idx,))
+            noncol_bayes = 1.0 - _cdf_grid(x0, z)
+            noncol_cd = _cdf_grid(z, x0)
+            freq_bayes = np.count_nonzero(noncol_bayes > cfg.threshold) / n
+            freq_cd = np.count_nonzero(noncol_cd > cfg.threshold) / n
+            assert row.mean_cd == noncol_cd.mean()
+            assert row.stderr_mean_cd == noncol_cd.std(ddof=1) / math.sqrt(n)
+            assert (row.freq_bayes, row.freq_cd) == (freq_bayes, freq_cd)
+            assert row.stderr_freq_bayes == math.sqrt(freq_bayes * (1.0 - freq_bayes) / n)
+            assert row.stderr_freq_cd == math.sqrt(freq_cd * (1.0 - freq_cd) / n)
+            # a block's vector series may stop before the whole sample's would
+            want = noncol_bayes.mean()
+            assert abs(row.mean_bayes - want) <= 4 * math.ulp(want)
+            want = noncol_bayes.std(ddof=1) / math.sqrt(n)
+            assert abs(row.stderr_mean_bayes - want) <= 4 * math.ulp(want)
+            assert exact_row(scen, cfg.threshold) == (
+                row.mean_bayes_exact, row.mean_cd_exact, row.freq_bayes_exact, row.freq_cd_exact)
+
+    def test_peak_memory_per_replicate(self):
+        # tracemalloc sees numpy's buffers: one float64 per pit replicate and two
+        # per sweep replicate stay, the draws and their temporaries do not
+        n = 300_000
+        scen = Scenario(2.0, 2.5, 2.0)
+        cfg = SweepConfig(sigma_grid=(1.0,), n_reps=n, seed=1)
+        pit_sample(scen, 100, 1)  # first-call costs outside the measure
+        run_sweep(1.99, 2.0, SweepConfig(sigma_grid=(1.0,), n_reps=1, seed=1))
+        for run, bound in ((lambda: pit_sample(scen, n, 1), 16),
+                           (lambda: run_sweep(1.99, 2.0, cfg), 32)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / n < bound
 
 
 class TestScaleEquivariance:
