@@ -8,19 +8,19 @@ sigma^2 I). Reproducibility contract: sigma index s of a sweep owns the
 generator PCG64(SeedSequence(seed, spawn_key=(s,))) and a PIT sample owns
 PCG64(SeedSequence(seed, spawn_key=())); replicate r is row r of one
 normal((delta_true, 0), sigma, size=(n, 2)) draw from that generator.
-That draw is taken and evaluated in blocks of _DRAW_ROWS rows, which
-concatenate to it. Results are a pure function of the seed, so they are
-byte-identical across runs and worker counts; reductions happen in
-replicate order over the whole sample. The stream changed once, from one
-substream per replicate keyed by (s, r) or (r,), so samples from before
-that change differ for a seed.
+One function, _sample, takes and evaluates that draw for both, in blocks
+of _DRAW_ROWS rows that concatenate to it. Results are a pure function of
+the seed, so they are byte-identical across runs and worker counts;
+reductions happen in replicate order over the whole sample. The stream
+changed once, from one substream per replicate keyed by (s, r) or (r,),
+so samples from before that change differ for a seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 # unused: kept until the benchmark stops timing its import (ROADMAP item 1)
@@ -149,24 +149,29 @@ class PitSummary:
             raise DomainError("histogram must have 20 bins summing to n")
 
 
-def _squared_norm_ratios(
+def _sample(
     scenario: Scenario,
     seed: int,
     key: tuple[int, ...],
     n: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, z) per block of at most _DRAW_ROWS replicates, in order, with
-    z_r = (|y_r|/sigma)^2 for replicates r = start..start+len(z)-1. Each block
-    is the next normal((delta_true, 0), sigma, size=(m, 2)) draw from the
-    substream keyed by key, so the blocks concatenate to the rows of one
-    (n, 2) draw; |y_r| is formed as Observation.norm forms it."""
+    *columns: Callable[[np.ndarray, float], np.ndarray],
+) -> list[np.ndarray]:
+    """One n-array per column, entry r being column(z_r, x0), with z_r =
+    (|y_r|/sigma)^2 (|y_r| formed as Observation.norm forms it) and x0 =
+    (radius/sigma)^2. Each block of at most _DRAW_ROWS rows is the next draw
+    from the substream keyed by key, and every column sees each block."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    out = [np.empty(n) for _ in columns]
     for start in range(0, n, _DRAW_ROWS):
         m = min(_DRAW_ROWS, n - start)
         y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(m, 2))
         norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, m)
-        yield start, require_squared_ratio("|y|", norm, scenario.sigma,
-                                           delta_true=scenario.delta_true)
+        z = require_squared_ratio("|y|", norm, scenario.sigma, delta_true=scenario.delta_true)
+        if start == 0:  # after block 0's |y| check, so an overflowing |y| is named first
+            x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
+        for values, column in zip(out, columns):
+            values[start : start + m] = column(z, x0)
+    return out
 
 
 def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
@@ -240,13 +245,8 @@ def run_sweep(
     rows = []
     for s_idx, sigma in enumerate(config.sigma_grid):
         scenario = Scenario(delta_true, sigma, radius)
-        noncol_bayes = np.empty(n)
-        noncol_cd = np.empty(n)
-        for start, z in _squared_norm_ratios(scenario, config.seed, (s_idx,), n):
-            # checked after block 0's |y|, as it was after the whole draw's
-            x0 = require_squared_ratio("radius", scenario.radius, sigma)
-            noncol_bayes[start : start + z.size] = 1.0 - _cdf_grid(x0, z)
-            noncol_cd[start : start + z.size] = _cdf_grid(z, x0)
+        noncol_bayes, noncol_cd = _sample(scenario, config.seed, (s_idx,), n,
+                                          lambda z, x0: 1.0 - _cdf_grid(x0, z), _cdf_grid)
         exact = exact_row(scenario, config.threshold)
         freq_bayes = float(np.count_nonzero(noncol_bayes > config.threshold)) / n
         freq_cd = float(np.count_nonzero(noncol_cd > config.threshold)) / n
@@ -267,6 +267,7 @@ def run_sweep(
                 stderr_freq_cd=math.sqrt(freq_cd * (1.0 - freq_cd) / n),
             )
         )
+        del noncol_bayes, noncol_cd  # else held while the next sigma's pair is filled
     return rows
 
 
@@ -286,30 +287,24 @@ def pit_sample(
 
     U is uniform on (0, 1) exactly when delta_true equals the radius;
     smaller true distances shift it left, larger ones right. Reports the
-    two-sided KS statistic against uniformity, a 20-bin histogram, and the
+    two-sided KS statistic against uniformity, a 20-bin histogram (bin k
+    counts U in [k/20, (k+1)/20), and the last bin also U = 1), and the
     sample mean. U is evaluated block by block into one n-array (8 bytes
-    per replicate), which is sorted in place for the KS statistic.
+    per replicate), which is sorted in place for the KS statistic and the
+    histogram.
     """
     n = require_count("n", n, 100, MAX_ROWS)
     seed = require_count("seed", seed, 0)
-    u = np.empty(n)
-    counts = np.zeros(20, dtype=np.int64)
-    for start, z in _squared_norm_ratios(scenario, seed, (), n):
-        # checked after block 0's |y|, as it was after the whole draw's
-        x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)
-        block = u[start : start + z.size]
-        block[:] = _cdf_grid(z, x0)
-        counts += np.histogram(block, bins=20, range=(0.0, 1.0))[0]
+    (u,) = _sample(scenario, seed, (), n, _cdf_grid)
     mean_u = float(u.mean())  # before the sort: a pairwise sum depends on the order
     u.sort()
+    # u in [k/20, (k+1)/20) counts in bin k, and the last bin is closed; a
+    # nan sorts last and falls in no bin
+    edges = np.searchsorted(u, np.linspace(0.0, 1.0, 21), side="left")
+    edges[-1] = np.searchsorted(u, 1.0, side="right")
     ks = -math.inf
     for start in range(0, n, _DRAW_ROWS):
         ranked = u[start : start + _DRAW_ROWS]
         steps = np.arange(start + 1, start + ranked.size + 1) / n
         ks = max(ks, float((steps - ranked).max()), float((ranked - steps + 1.0 / n).max()))
-    return PitSummary(
-        n=n,
-        ks_stat=ks,
-        histogram=tuple(int(c) for c in counts),
-        mean_u=mean_u,
-    )
+    return PitSummary(n=n, ks_stat=ks, histogram=tuple(np.diff(edges).tolist()), mean_u=mean_u)

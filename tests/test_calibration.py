@@ -77,8 +77,9 @@ class TestScenarioAndConfig:
 
 
 def _ratios(scen: Scenario, seed: int, key: tuple[int, ...], n: int) -> np.ndarray:
-    # the blocks of _squared_norm_ratios, concatenated
-    return np.concatenate([z for _, z in calibration._squared_norm_ratios(scen, seed, key, n)])
+    # the z column of _sample
+    (z,) = calibration._sample(scen, seed, key, n, lambda z, x0: z)
+    return z
 
 
 def _one_draw(scen: Scenario, seed: int, key: tuple[int, ...], n: int) -> np.ndarray:
@@ -122,12 +123,32 @@ class TestSquaredNormRatios:
         # the stream contract across block edges: replicate r is row r of one
         # (n, 2) draw, its |y| from math.hypot, bit for bit
         scen = Scenario(1.99, 0.7, 2.0)
-        blocks = list(calibration._squared_norm_ratios(scen, 9, (2,), n))
-        assert [start for start, _ in blocks] == list(range(0, n, BLOCK))
-        assert all(z.size == min(BLOCK, n - start) for start, z in blocks)
+        sizes = []
+        (z,) = calibration._sample(scen, 9, (2,), n, lambda z, x0: sizes.append(z.size) or z)
+        assert sizes == [min(BLOCK, n - start) for start in range(0, n, BLOCK)]
         ratio = np.array([math.hypot(y1, y2) for y1, y2 in _one_draw(scen, 9, (2,), n).tolist()])
         ratio /= scen.sigma
-        assert np.concatenate([z for _, z in blocks]).tobytes() == (ratio * ratio).tobytes()
+        assert z.tobytes() == (ratio * ratio).tobytes()
+
+    def test_columns_share_each_block(self):
+        # every column is called on the same z and x0, block by block
+        scen = Scenario(1.99, 0.7, 2.0)
+        n = BLOCK + 1
+        seen = ([], [])
+
+        def column(k):
+            def f(z, x0):
+                seen[k].append((z.tobytes(), x0))
+                return z + k * x0
+            return f
+
+        z, shifted = calibration._sample(scen, 9, (2,), n, column(0), column(1))
+        assert len(seen[0]) == 2 and seen[0] == seen[1]
+        assert z.tobytes() == _ratios(scen, 9, (2,), n).tobytes()
+        x0 = scen.radius / scen.sigma
+        x0 *= x0
+        assert all(x == x0 for _, x in seen[0])
+        assert shifted.tobytes() == (z + x0).tobytes()
 
 
 class TestExactRow:
@@ -282,6 +303,23 @@ class TestPitSample:
         assert sum(a.histogram) == 2000
         assert all(count >= 0 for count in a.histogram)
 
+    def test_histogram_bins_match_np_histogram(self, monkeypatch):
+        # bin k counts u in [k/20, (k+1)/20) and the last bin is closed, as
+        # np.histogram's are: each edge and its float neighbours land there
+        edges = np.linspace(0.0, 1.0, 21)
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                            np.nextafter(edges[:-1], 1.0), [0.0, 1.0]])
+        u = np.concatenate([u, np.random.default_rng(0).random(100 - u.size)])
+        np.random.default_rng(1).shuffle(u)
+        monkeypatch.setattr(calibration, "_cdf_grid", lambda z, x0: u)
+        scen = Scenario(2.0, 2.5, 2.0)
+        want = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+        assert pit_sample(scen, u.size, 1).histogram == tuple(want.tolist())
+        # np.histogram leaves a nan out, so the bins no longer sum to n
+        u[7] = math.nan
+        with pytest.raises(DomainError, match="20 bins summing to n"):
+            pit_sample(scen, u.size, 1)
+
     def test_sample_size_floor(self):
         with pytest.raises(DomainError):
             pit_sample(Scenario(2.0, 2.5, 2.0), 99, 1)
@@ -411,6 +449,19 @@ class TestBlockedSampling:
                 tracemalloc.stop()
             assert peak / n < bound
 
+
+    def test_sweep_holds_one_sigma_at_a_time(self):
+        # the next sigma's two columns are filled after the last sigma's are
+        # freed: 16 bytes per replicate stay, plus the 8 of a stderr temporary
+        n = 200_000
+        run_sweep(1.99, 2.0, SweepConfig(sigma_grid=(1.0,), n_reps=1, seed=1))
+        tracemalloc.start()
+        try:
+            run_sweep(1.99, 2.0, SweepConfig(sigma_grid=(0.5, 1.0), n_reps=n, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 28
 
 class TestScaleEquivariance:
     def test_exact_row_and_pit_do_not_depend_on_scale(self):
