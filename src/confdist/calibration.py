@@ -56,7 +56,7 @@ __all__ = [
 
 # rows per block, which bounds a sample's temporaries; no pit or cd value
 # depends on it, but a Bayes value's last bits may, as the vector series
-# stops once every element of its block has converged
+# stops once every direct-regime element of its block has converged
 _DRAW_ROWS = 1 << 12
 
 

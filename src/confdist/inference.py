@@ -153,6 +153,8 @@ def level_interval(obs: Observation, method: Method, level: float) -> LevelInter
     clipped to 0 and flagged.
     """
     level = require_open_unit("level", level)
+    if 0.5 * (1.0 + level) == 1.0:  # only at the float just below 1: the upper end has no target
+        raise DomainError(f"level must leave (1 + level)/2 below 1 as a float, got {level!r}")
     lo, clipped = _quantile(obs, method, 0.5 * (1.0 - level))
     hi, _ = _quantile(obs, method, 0.5 * (1.0 + level))
     return LevelInterval(lo, hi, clipped)

@@ -293,8 +293,8 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
 def _cdf_grid(x, nu) -> np.ndarray:
     """noncentral_chisq2_cdf broadcast over arrays of x and nu.
 
-    Elements with x and nu at or below 1400 take the direct series, the rest
-    the Rice quadrature, which gives each of them its scalar call's bits.
+    Each element takes one path: the direct series if x, nu <= 1400 (a scalar
+    argument stays scalar), else the Rice rule, which gives its scalar call's bits.
     The scalar call's [0, 1] guard clamps the results; the first element
     straying more than 1e-9 outside raises its ConvergenceError.
     """
@@ -306,16 +306,16 @@ def _cdf_grid(x, nu) -> np.ndarray:
     for name, values in (("x", x), ("nu", nu)):
         for extreme in (values.min(), values.max()):  # a nan is both
             require_nonnegative(name, extreme)
-    # lam = 0 where nu is large keeps exp(-lam) normal and the series finite,
-    # and the Rice quadrature then fills in every element with a large argument
-    acc = _cdf_series_grid(np.where(nu > _DIRECT_LIMIT, 0.0, 0.5 * nu), 0.5 * x)
-    large = np.maximum(x, nu) > _DIRECT_LIMIT
-    acc[large] = _g2_rice(np.broadcast_to(x, shape)[large], np.broadcast_to(nu, shape)[large])
+    wide_x, wide_nu = np.broadcast_to(x, shape), np.broadcast_to(nu, shape)
+    small, acc = np.maximum(x, nu) <= _DIRECT_LIMIT, np.empty(shape)
+    if small.any():  # the series' cumw.min() refuses an empty array; a 0-d operand stays 0-d
+        acc[small] = _cdf_series_grid(0.5 * (nu if nu.ndim == 0 else wide_nu[small]),
+                                      0.5 * (x if x.ndim == 0 else wide_x[small]))
+    acc[~small] = _g2_rice(wide_x[~small], wide_nu[~small])
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
     if bad.any():
         i = np.unravel_index(np.argmax(bad), shape)  # the first offending element
-        x, nu = np.broadcast_to(x, shape)[i], np.broadcast_to(nu, shape)[i]
-        raise _not_a_probability(x, nu, acc[i])
+        raise _not_a_probability(wide_x[i], wide_nu[i], acc[i])
     return np.clip(acc, 0.0, 1.0)
 
 

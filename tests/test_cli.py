@@ -146,6 +146,12 @@ class TestAnalyze:
             "--level", "1.5",
         )
         assert code == 2 and "--level" in err
+        code, out, err = run_cli(
+            capsys,
+            "analyze", "--norm", "5", "--sigma", "2.5", "--radius", "2",
+            "--level", "0.9999999999999999",
+        )
+        assert code == 2 and out == "" and err.startswith("error: --level ")
 
     def test_y1_needs_y2(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--y1", "3", "--sigma", "2.5", "--radius", "2")

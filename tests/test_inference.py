@@ -181,6 +181,16 @@ class TestSummaries:
             with pytest.raises(DomainError):
                 level_interval(obs, "bayes", bad)
 
+    def test_level_whose_upper_probability_rounds_to_one(self, obs):
+        # (1 + level)/2 rounds to 1.0 at the float just below 1, and only there,
+        # so that upper end would be wherever the float CDF first reaches 1
+        top = math.nextafter(1.0, 0.0)
+        assert 0.5 * (1.0 + top) == 1.0 and 0.5 * (1.0 + math.nextafter(top, 0.0)) < 1.0
+        for method in ("bayes", "cd"):
+            with pytest.raises(DomainError, match=r"^level .*, got 0\.9999999999999999$"):
+                level_interval(obs, method, top)
+            assert level_interval(obs, method, math.nextafter(top, 0.0)).hi > 0.0
+
     def test_method_validation(self, obs):
         with pytest.raises(DomainError):
             median(obs, "posterior")

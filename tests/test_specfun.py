@@ -355,6 +355,69 @@ class TestVectorHelpers:
             assert np.array_equal(got[large], want[large])
             assert np.max(np.abs(got - want)) <= 1e-15
 
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        # every (lam, h) pair that _cdf_grid hands the vector series
+        calls, series = [], specfun._cdf_series_grid
+
+        def spy(lam, h):
+            calls.append((lam, h))
+            return series(lam, h)
+
+        monkeypatch.setattr(specfun, "_cdf_series_grid", spy)
+        return calls
+
+    def test_one_path_per_element(self, series_calls):
+        # the series sees exactly the elements with max(x, nu) <= 1400, once,
+        # and they get the bits of the same call on the row without the rest
+        rng = np.random.default_rng(5)
+        z = np.sum((rng.standard_normal((1000, 2)) + [1.99 / 0.01, 0.0]) ** 2, axis=1)
+        cases = [
+            (np.array([100.0, 1500.0, 2000.0]), 1300.0),
+            (1300.0, np.array([0.0, 1450.0, 4000.0])),
+            (np.array([5.0, 1500.0]), np.array([5.0, 1450.0])),
+            # the large element's lam = 650 must not keep the small one's series running
+            (np.array([1399.0, 2000.0]), np.array([2.0, 1300.0])),
+            (900.0, np.array([1.0, 100.0, 1399.0, 1401.0, 2000.0, 1e6])),
+            (np.array([0.0, 0.64, 1e4])[:, None], np.array([4.0, 1399.0, 1401.0])),
+            (np.concatenate([z, [3.0, 900.0]]), 1300.0),
+        ]
+        for x, nu in cases:
+            series_calls.clear()
+            got = _cdf_grid(x, nu)
+            wide_x, wide_nu = np.broadcast_arrays(x, nu)
+            small = np.maximum(wide_x, wide_nu) <= 1400.0
+            assert small.any() and not small.all()
+            (lam, h), = series_calls
+            assert np.max(np.maximum(2.0 * lam, 2.0 * h)) <= 1400.0
+            assert np.broadcast(lam, h).size == np.count_nonzero(small)
+            assert np.array_equal(got[small], _cdf_grid(wide_x[small], wide_nu[small]))
+
+    def test_series_not_called_when_every_element_is_large(self, series_calls):
+        for x, nu in ((np.array([2000.0, 3000.0]), 5.0), (1e4, np.linspace(0.0, 200.0, 17) ** 2)):
+            got = _cdf_grid(x, nu)
+            x, nu = np.broadcast_arrays(x, nu)
+            want = [noncentral_chisq2_cdf(float(a), float(b)) for a, b in zip(x, nu)]
+            assert np.array_equal(got, want)
+        assert series_calls == []
+
+    def test_scalar_argument_reaches_series_as_scalar(self, series_calls):
+        # sweep and pit pair a 0-d x0 with a row of z: the recurrences on the
+        # 0-d side stay scalar instead of widening to the row
+        z = np.linspace(0.0, 200.0, 50)
+        _cdf_grid(z, 64.0)
+        _cdf_grid(64.0, z)
+        _cdf_grid(np.float64(5.0), np.array(5.0))
+        (lam0, h0), (lam1, h1), (lam2, h2) = series_calls
+        assert (lam0.ndim, h0.shape, lam1.shape, h1.ndim) == (0, (50,), (50,), 0)
+        assert lam2.ndim == h2.ndim == 0
+
+    def test_zero_d_inputs_in_both_regimes(self):
+        for x, nu in ((5.0, 5.0), (1399.0, 2.0), (0.0, 0.0), (2000.0, 1300.0), (1e4, 1e4), (5.0, 1e6)):
+            for args in ((x, nu), (np.array(x), np.float64(nu))):
+                got = _cdf_grid(*args)
+                assert np.ndim(got) == 0 and got == noncentral_chisq2_cdf(x, nu), (x, nu)
+
     def test_empty_and_invalid_inputs(self):
         assert _cdf_grid(np.array([]), 1.0).size == 0
         assert _cdf_grid(1.0, np.array([])).size == 0
