@@ -98,6 +98,8 @@ def _grid(text: str) -> np.ndarray:
         raise UsageError(f"--grid must look like lo:hi:n with numeric parts, got {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"--grid needs finite lo and hi, got {text!r}")
+    if not math.isfinite(hi - lo):  # else linspace's step overflows to nan points
+        raise UsageError(f"--grid needs a finite span hi - lo, got {text!r}")
     return np.linspace(lo, hi, require_count("--grid point count", count, 2, MAX_ROWS))
 
 
@@ -353,12 +355,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config) if args.config else {}
         values = _resolve(params, args, cfg)
         _write_output(_render(values.format, run(values)), values.output)
-    except (UsageError, DomainError) as exc:
-        # a DomainError starts with the argument's name: print the flag of the
-        # parameter that set it (a UsageError already names flags itself)
-        name, space, rest = str(exc).partition(" ")
-        name = next((p.flag for p in params if p.key == name), name)
-        print(f"error: {name}{space}{rest}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        # the message names the arguments at fault before its " must ": print
+        # the flag of the parameter that set each
+        names, must, rest = str(exc).partition(" must ")
+        flags = {p.key: p.flag for p in params}
+        names = " ".join(flags.get(word, word) for word in names.split(" "))
+        print(f"error: {names}{must}{rest}", file=sys.stderr)
         return 2
     except (BracketError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -70,6 +70,9 @@ class Observation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "y1", require_finite("y1", self.y1))
         object.__setattr__(self, "y2", require_finite("y2", self.y2))
+        if not math.isfinite(math.hypot(self.y1, self.y2)):
+            raise DomainError(
+                f"y1 and y2 must give a finite norm |y|, got {self.y1!r} and {self.y2!r}")
         object.__setattr__(self, "sigma", require_positive("sigma", self.sigma))
 
     @classmethod

@@ -75,8 +75,8 @@ _I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in rang
 
 # Argument checks shared by every module: each returns the value as a
 # float (or int, the squared ratio to sigma, or the grid itself) and raises
-# DomainError otherwise. Each message but the squared ratio's starts with
-# the argument's name and a space; the CLI puts the flag that set it there.
+# DomainError otherwise. Each message but the squared ratio's names its
+# argument before " must "; the CLI puts the flag that set it there.
 
 
 def require_finite(name: str, value: float) -> float:

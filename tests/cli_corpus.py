@@ -8,17 +8,24 @@ each split at "\\n" so that a moved line is one line of a diff.
 
 tests/golden/cli.json holds the records (python tests/golden/regen.py
 writes it, and --exact lists what moved); tests/test_cli_corpus.py
-replays the corpus against it.
+replays the corpus against it. faults() states the rules every record
+keeps, whatever its command line.
+
+GRAMMAR draws command lines over every command and flag for
+tests/test_fuzz.py: a flag added to the CLI is added here too.
 """
 
 from __future__ import annotations
 
 import io
+import random
+import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from confdist.cli import main
+from confdist.specfun import MAX_ROWS
 
 REFERENCE = "--norm 5 --sigma 2.5 --radius 2"
 PIT = "pit --delta-true 2 --sigma 2.5 --radius 2 --n 200"
@@ -96,6 +103,10 @@ CORPUS = [
     f"analyze {REFERENCE} --norm -1",
     "analyze --y1 nan --y2 4 --sigma 2.5 --radius 2",
     "analyze --y1 3 --y2 inf --sigma 2.5 --radius 2",
+    # a pair whose norm |y| overflows, though |y|/sigma would not; and one
+    # whose norm stays finite
+    "analyze --y1 1.7e308 --y2 1.7e308 --sigma 1e300 --radius 1",
+    "analyze --y1 1e308 --y2 1e308 --sigma 1e300 --radius 1 --format json",
     f"analyze {REFERENCE} --sigma 0",
     f"analyze {REFERENCE} --radius -2",
     f"analyze {REFERENCE} --level 1",
@@ -108,6 +119,7 @@ CORPUS = [
     "sweep --n-reps 0",
     "sweep --n-reps 10 --radius 0",
     "sweep --n-reps 10 --sigma-grid 1,-2",
+    "sweep --n-reps 10 --sigma-grid 0,1",
     "sweep --n-reps 10 --sigma-grid 2,1",
     "sweep --n-reps 10 --sigma-grid 0.5,.,2",
     "sweep --n-reps 10 --sigma-grid " + ",".join(map(str, range(1, 31))) + ",29",
@@ -128,6 +140,7 @@ CORPUS = [
     "curve --norm 5 --sigma 1 --grid=-1:4:10",
     "curve --norm 5 --sigma 1 --grid 0:12:1",
     "curve --norm 5 --sigma 1 --grid 0:inf:3",
+    "curve --norm 5 --sigma 1 --grid=-1e308:1e308:3",
     "curve --norm 5 --sigma 1 --grid 0:1:100000000000000000000",
     "curve --norm 5 --sigma 1 --grid 0:5e-324:3",
     "curve --norm 5 --sigma 1 --grid 0:1e-322:30",
@@ -155,6 +168,8 @@ CORPUS = [
     "sweep --sigma-grid 1e200 --n-reps 10 --format json",
     "sweep --sigma-grid 1,1e154 --n-reps 10 --format csv",
     "pit --delta-true 2 --sigma 1e200 --radius 2 --n 100 --format json",
+    # a draw |y| past the largest float, though |y|/sigma stays near 1
+    "pit --delta-true 1.7e308 --sigma 1.7e308 --radius 1.7e308 --n 100",
     # roots anywhere in the float range, and the one beyond it (exit 1)
     "analyze --norm 1e-320 --sigma 1e-320 --radius 1e-320 --format json",
     "analyze --norm 3e-315 --sigma 3e-315 --radius 3e-315 --format json",
@@ -179,6 +194,8 @@ CORPUS = [
       for fmt in ("csv", "json")),
     "curve --norm 40 --sigma 1 --grid 30:50:9 --format json",
     "curve --norm 12.7 --sigma 1 --grid 0:40:41 --format csv",
+    # every C element on the Rice rule, from delta = 0
+    "curve --norm 100 --sigma 1 --grid 0:200:17 --format json",
     # the extreme level: (1 + level)/2 rounds to 1
     f"analyze {REFERENCE} --level 0.9999999999999999 --format csv",
     f"analyze {REFERENCE} --level 0.9999999999999999 --format json",
@@ -215,3 +232,123 @@ def run(command: str, tmp: Path) -> dict[str, object]:
 def write_configs(tmp: Path) -> None:
     for name, content in CONFIGS.items():
         (tmp / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+
+
+NON_FINITE = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
+ARGPARSE_ERROR = re.compile(r"confdist \w+: error: ")  # the line run() keeps of it
+ERROR_PREFIX = {1: "numerical failure: ", 2: "error: "}
+
+
+def faults(record: dict[str, object]) -> list[str]:
+    """How a record breaks the rules that every command line keeps. Exit 0
+    prints no nan or infinity to stdout or the --output file, and nothing
+    to stderr. Exit 2, a refused input, and exit 1, a numerical failure,
+    print nothing to stdout and one stderr line: "error: " or argparse's
+    own error line, and "numerical failure: "."""
+    code, err = record["exit"], record["stderr"]
+    if code == 0:
+        bad = [f"{key} line {i}: {line}" for key in ("stdout", "file")
+               for i, line in enumerate(record.get(key, ()), 1) if NON_FINITE.search(line)]
+        return bad + ([] if err == [""] else [f"exit 0 with stderr {err}"])
+    prefix = ERROR_PREFIX.get(code)
+    if prefix is None or record["stdout"] != [""] or len(err) != 2 or not (
+            err[0].startswith(prefix) or code == 2 and ARGPARSE_ERROR.match(err[0])):
+        return [f"exit {code} with stdout {record['stdout'][:3]} and stderr {err}"]
+    return []
+
+
+# The fuzz grammar. Each line draws one scale, 1e-290 to 1e280. Lengths
+# (|y|, a radius, a distance, a grid end) lie 1e-8 to 1e12 times it and
+# noise scales within a factor of 10 of it. A drawn flag takes hostile text
+# instead of a valid value with probability HOSTILE. Valid counts stay
+# small, so that every line runs in milliseconds.
+HOSTILE = 0.08
+FLOATS = ("nan", "inf", "-inf", "-0", "0", "5e-324", "1e-310", "1e308", "1.7976931348623157e308",
+          "-1e308", "1e999", "-1", "abc", "", "1e", "0x1p3")
+COUNTS = ("0", "-1", "1.5", "abc", "", "1e3", str(MAX_ROWS + 1), "100000000000000000000000")
+
+
+def _length(rng: random.Random, scale: float) -> str:
+    return repr(scale * 10.0 ** rng.uniform(-8.0, 12.0))
+
+
+def _sigma(rng: random.Random, scale: float) -> str:
+    return repr(scale * 10.0 ** rng.uniform(-1.0, 1.0))
+
+
+def _grid(rng: random.Random, scale: float) -> str:
+    lo, hi = sorted(float(_length(rng, scale)) for _ in range(2))
+    return f"{rng.choice((0.0, lo))!r}:{hi!r}:{rng.randint(2, 500)}"
+
+
+def _sigma_grid(rng: random.Random, scale: float) -> str:
+    return ",".join(sorted({_sigma(rng, scale) for _ in range(rng.randint(1, 4))}, key=float))
+
+
+def _pick(*values: str):
+    return lambda rng, scale: rng.choice(values)
+
+
+LENGTH = (_length, FLOATS, 0.95)
+SIGNED = (lambda rng, scale: rng.choice(("", "-")) + _length(rng, scale), FLOATS, 0.3)
+SIGMA = (_sigma, FLOATS, 0.95)
+UNIT = (lambda rng, scale: rng.choice((repr(rng.random()), "0.5", "0.99999999999999",
+                                       "0.9999999999999999", "5e-324")),
+        ("0", "1", "1.5", "-0.5", "nan", "inf", "abc"), 0.5)
+SEED = (lambda rng, scale: str(rng.choice((0, 1, rng.getrandbits(32), 2 ** 64, 10 ** 30))),
+        COUNTS, 0.5)
+WORKERS = (lambda rng, scale: str(rng.randint(1, 3)), COUNTS, 0.3)
+FORMAT = (_pick("text", "csv", "json"), ("yaml", "", "JSON"), 0.85)
+OUTPUT = (_pick("{tmp}/out", "-"), ("{tmp}", "{tmp}/absent/out"), 0.3)
+CONFIG = (_pick(*(f"{{tmp}}/{name}" for name in CONFIGS)), ("{tmp}/absent.cfg",), 0.1)
+
+# command -> {flag: (valid value, hostile values, share of lines that pass it)}
+GRAMMAR = {
+    "analyze": {"--norm": (_length, FLOATS, 0.7),
+                "--y1": SIGNED, "--y2": SIGNED, "--sigma": SIGMA, "--radius": LENGTH,
+                "--level": UNIT, "--format": FORMAT, "--output": OUTPUT},
+    "curve": {"--norm": LENGTH, "--sigma": SIGMA, "--grid": (_grid, (
+        "0:12", "a:b:c", "5:1:10", "-1:4:10", "0:inf:3", "0:1:1", "0:1:2.5", "nan:1:3",
+        "0:5e-324:30", "-1e308:1e308:3", f"0:1:{MAX_ROWS + 1}"), 0.7),
+              "--format": FORMAT, "--output": OUTPUT},
+    "sweep": {"--delta-true": LENGTH, "--radius": LENGTH, "--sigma-grid": (_sigma_grid, (
+        "1,-2", "2,1", "0,1", "1,,2", ".", "1,inf", "nan", ""), 0.85),
+              # always drawn: the default is 100,000 replicates per noise scale
+              "--n-reps": (lambda rng, scale: str(rng.randint(1, 6000)), COUNTS, 1.0),
+              "--seed": SEED, "--threshold": UNIT, "--workers": WORKERS,
+              "--format": FORMAT, "--output": OUTPUT},
+    "pit": {"--delta-true": LENGTH, "--sigma": SIGMA, "--radius": LENGTH,
+            "--n": (lambda rng, scale: str(rng.randint(100, 6000)), (*COUNTS, "99"), 1.0),
+            "--seed": SEED, "--workers": WORKERS, "--format": FORMAT, "--output": OUTPUT},
+}
+
+
+def _argv(flag: str, value: str) -> list[str]:
+    # argparse reads "-1e-05" as a flag of its own unless it is joined
+    return [f"{flag}={value}"] if value.startswith("-") and value != "-" else [flag, value]
+
+
+def fuzz_command(rng: random.Random) -> str:
+    """One command line drawn from GRAMMAR, with {tmp} for the scratch directory."""
+    command = rng.choice(sorted(GRAMMAR))
+    scale = 10.0 ** rng.uniform(-290.0, 280.0)
+    argv = [command]
+    for flag, (draw, hostile, share) in {**GRAMMAR[command], "--config": CONFIG}.items():
+        if rng.random() < share:
+            argv += _argv(flag, rng.choice(hostile) if rng.random() < HOSTILE else draw(rng, scale))
+    return shlex.join(argv)
+
+
+# a valid line per command; one flag set again at its end takes its last value
+VALID = {"analyze": f"analyze {REFERENCE}", "curve": CURVE, "sweep": SWEEP, "pit": PIT,
+         "pair": "analyze --y1 3 --y2 4 --sigma 2.5 --radius 2"}
+
+
+def hostile_commands() -> list[str]:
+    """Each hostile value of each flag in GRAMMAR, alone on a valid line of
+    its command, so that no other fault is reported before it."""
+    return [shlex.join([*shlex.split(VALID["pair" if flag in ("--y1", "--y2") else command]),
+                        *_argv(flag, value)])
+            for command, flags in GRAMMAR.items()
+            for flag, (_, hostile, _) in {**flags, "--config": CONFIG}.items()
+            for value in hostile]

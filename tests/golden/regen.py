@@ -2,8 +2,10 @@
 
     python tests/golden/regen.py           run the corpus, rewrite cli.json
     python tests/golden/regen.py --exact   run the corpus, compare its bytes
-                                           with cli.json and print every
-                                           moved token; exit 1 if any moved
+                                           with cli.json, print every moved
+                                           token and each added record; exit
+                                           1 if a record moved (an added one
+                                           is not a move)
 
 Runs the source tree it sits in (src/ goes first on sys.path), with a
 numpy RuntimeWarning raised as an error, as the tests run.
@@ -74,15 +76,20 @@ def main() -> int:
         print(f"wrote {len(records)} records to {GOLDEN}")
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    moved = 0
+    moved = added = 0
     for command in [*records, *(c for c in golden if c not in records)]:
         old, new = golden.get(command), records.get(command)
         if old == new:
             continue
-        moved += 1
         print(command)
-        if old is None or new is None:
-            print("  only in", "the corpus" if old is None else "cli.json")
+        if old is None:
+            added += 1
+            first = new["stderr"][0]
+            print(f"  added: exit {new['exit']}" + (f", {first}" if first else ""))
+            continue
+        moved += 1
+        if new is None:
+            print("  only in cli.json")
             continue
         for key in ("exit", "stdout", "stderr", "file"):
             a, b = old.get(key), new.get(key)
@@ -93,7 +100,7 @@ def main() -> int:
                 continue
             for line in moved_tokens(a, b):
                 print(f"  {key} {line}")
-    print(f"{moved} of {len(records)} records moved")
+    print(f"{moved} moved, {added} added")
     return 1 if moved else 0
 
 

@@ -73,6 +73,13 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     (SWEEP + ("--n-reps", "100000000000000000000000", "--sigma-grid", "1"), "--n-reps",
      "100000000000000000000000"),
     (CURVE + ("--grid", "0:1:100000000000000000000"), "--grid", "100000000000000000000"),
+    # each coordinate is finite but hypot(y1, y2) overflows; |y|/sigma would be 2.4e8
+    (("analyze", "--y1", "1.7e308", "--y2", "1.7e308", "--sigma", "1e300", "--radius", "1"),
+     "--y1 and --y2", "1.7e+308 and 1.7e+308"),
+    # finite ends whose span overflows, which linspace would turn into nan points
+    (CURVE + ("--grid=-1e308:1e308:3",), "--grid", "'-1e308:1e308:3'"),
+    # pit_sample takes no worker count, so the CLI checks --workers itself
+    (PIT + ("--workers", "0"), "--workers", "0"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)

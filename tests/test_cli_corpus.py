@@ -6,6 +6,12 @@ numpy or platform may move it only as far as the program promises; a
 token printed with fewer digits than that must match as printed. After
 an intended change of output, `python tests/golden/regen.py --exact`
 lists what moved and `python tests/golden/regen.py` rewrites the file.
+Every record, recorded and replayed, also keeps the rules of
+cli_corpus.faults, so that a rewrite cannot record a nan or a stray error
+line as expected.
+
+Tier-1 runs this file against src/; CI runs it again from outside the
+checkout, against the installed package.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from cli_corpus import CORPUS, run, write_configs
+from cli_corpus import CORPUS, faults, run, write_configs
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 
@@ -127,9 +133,15 @@ def test_every_command_has_one_record():
     assert list(GOLDEN) == CORPUS
 
 
+def test_every_record_keeps_the_rules():
+    assert {command: faults(record) for command, record in GOLDEN.items()
+            if faults(record)} == {}
+
+
 @pytest.mark.parametrize("command", CORPUS)
 def test_replay(scratch, command):
     old, new = GOLDEN[command], run(command, scratch)
+    assert faults(new) == []
     assert (new["exit"], new["stderr"]) == (old["exit"], old["stderr"])
     assert ("file" in new) == ("file" in old)
     for key in ("stdout", "file"):

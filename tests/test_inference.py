@@ -59,6 +59,8 @@ class TestObservation:
             Observation(math.nan, 0.0, 1.0)
         with pytest.raises(DomainError):
             Observation(0.0, math.inf, 1.0)
+        with pytest.raises(DomainError, match="^y1 and y2 must give a finite norm"):
+            Observation(1.7e308, -1.7e308, 1e300)
         with pytest.raises(DomainError):
             Observation.from_norm(-0.5, 1.0)
 
