@@ -56,7 +56,7 @@ __all__ = [
 
 # rows per block, which bounds a sample's temporaries; no pit or cd value
 # depends on it, but a Bayes value's last bits may, as the vector series
-# stops once every direct-regime element of its block has converged
+# sums the term count of its block's largest min(lam, h)
 _DRAW_ROWS = 1 << 12
 
 
@@ -166,6 +166,9 @@ def _sample(
         m = min(_DRAW_ROWS, n - start)
         y = rng.normal((scenario.delta_true, 0.0), scenario.sigma, size=(m, 2))
         norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, m)
+        if not math.isfinite(norm.max()):  # a draw past the largest float, whatever |y|/sigma is
+            raise DomainError(f"delta_true and sigma must give draws with a finite norm |y|, "
+                              f"got {scenario.delta_true!r} and {scenario.sigma!r}")
         z = require_squared_ratio("|y|", norm, scenario.sigma, delta_true=scenario.delta_true)
         if start == 0:  # after block 0's |y| check, so an overflowing |y| is named first
             x0 = require_squared_ratio("radius", scenario.radius, scenario.sigma)

@@ -45,8 +45,6 @@ class ConvergenceError(RuntimeError):
 
 # exp(-x) underflows near x = 745; stay clear of it on the fast paths
 _EXP_LIMIT = 700.0
-# stop series when the unaccounted Poisson weight drops below this
-_POISSON_TAIL = 1e-14
 # [0, 1] results may stray this far outside before we call it a failure
 _PROB_SLACK = 1e-9
 # the most rows of an (n, 2) float64 array: numpy refuses one whose byte
@@ -54,8 +52,7 @@ _PROB_SLACK = 1e-9
 MAX_ROWS = sys.maxsize // 16
 # power series / asymptotic crossover for I0
 _I0_SERIES_LIMIT = 50.0
-_DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu,
-_DIRECT_TERMS = int(_DIRECT_LIMIT) + 1  # for k <= 1400: Poisson(700) has < 1e-100 beyond
+_DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu
 # Rice quadrature beyond it: 18 equal panels of [-9, top] with 8 Gauss-Legendre
 # nodes each, in blocks of _RICE_ROWS elements to bound memory. The nodes and
 # weights on [-1, 1] are written out, correctly rounded from a 50-digit solve,
@@ -197,20 +194,22 @@ def _not_a_probability(x, nu, p) -> ConvergenceError:
                             f"produced {float(p)!r} by the {regime}, outside [0, 1]")
 
 
+def _series_terms(m: float) -> int:
+    # K with P(Poisson(m) >= K) < 1e-17 for 0 <= m <= 700. Summing k < K(min(lam, h))
+    # leaves out sum_{k >= K} w_k g_k, below P(Poisson(lam) >= K) as g_k <= 1, and
+    # below g_K = P(Poisson(h) > K) as g_k falls with k and the w_k sum to at most 1
+    return math.ceil(m + 8.75 * math.sqrt(m) + 10.5)
+
+
 def _cdf_series_direct(lam: float, h: float) -> float:
     # Poisson(lam) mixture of central chi-square CDFs, both recurrences
     # started from k = 0; valid while exp(-lam) and exp(-h) are normal.
     w = math.exp(-lam)
-    cumw = w
     t = math.exp(-h)
     q = t  # Poisson(h) CDF at k, i.e. upper tail of P(chi2_{2(k+1)} <= 2h)
-    g = 1.0 - q
-    acc = w * g
-    for k in range(1, _DIRECT_TERMS):
-        if 1.0 - cumw <= _POISSON_TAIL:
-            break
+    acc = w * (1.0 - q)
+    for k in range(1, _series_terms(min(lam, h))):
         w *= lam / k
-        cumw += w
         t *= h / k
         q += t
         g = 1.0 - q
@@ -221,18 +220,14 @@ def _cdf_series_direct(lam: float, h: float) -> float:
 
 
 def _cdf_series_grid(lam: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # _cdf_series_direct broadcast over lam and h, with w and t in their shapes
+    # _cdf_series_direct broadcast over lam and h, to the term count of the largest min(lam, h)
     w = np.exp(-lam)
-    cumw = w.copy()
     t = np.exp(-h)
     q = t.copy()
     acc = np.zeros(np.broadcast_shapes(lam.shape, h.shape))  # an array even for 0-d inputs
     acc += w * (1.0 - q)
-    for k in range(1, _DIRECT_TERMS):
-        if 1.0 - cumw.min() <= _POISSON_TAIL:
-            break
+    for k in range(1, _series_terms(float(np.minimum(lam, h).max()))):
         w *= lam / k
-        cumw += w
         t *= h / k
         q += t
         g = np.maximum(1.0 - q, 0.0)
@@ -271,9 +266,9 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
 
     While x and nu stay at or below 1400, sums the Poisson mixture
         sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2,
-    by recurrences from k = 0 until the unaccounted Poisson weight falls
-    below 1e-14, or for at most 1,401 terms, past which Poisson(lam <= 700)
-    leaves under 1e-100. Beyond that, integrates the Rice density of sqrt(chi2)
+    by recurrences over k < ceil(m + 8.75 sqrt(m) + 10.5), m = min(lam, x/2),
+    at most 943 terms, which leave out under 1e-17 (sooner only where the rest
+    vanish in float). Beyond that, integrates the Rice density of sqrt(chi2)
     by a fixed 144-node Gauss-Legendre rule, in the same time at any nu.
     Absolute error <= 1e-12; results are clamped to [0, 1], and one
     straying more than 1e-9 outside raises ConvergenceError, by the one
@@ -308,7 +303,7 @@ def _cdf_grid(x, nu) -> np.ndarray:
             require_nonnegative(name, extreme)
     wide_x, wide_nu = np.broadcast_to(x, shape), np.broadcast_to(nu, shape)
     small, acc = np.maximum(x, nu) <= _DIRECT_LIMIT, np.empty(shape)
-    if small.any():  # the series' cumw.min() refuses an empty array; a 0-d operand stays 0-d
+    if small.any():  # the series' term count refuses an empty array; a 0-d operand stays 0-d
         acc[small] = _cdf_series_grid(0.5 * (nu if nu.ndim == 0 else wide_nu[small]),
                                       0.5 * (x if x.ndim == 0 else wide_x[small]))
     acc[~small] = _g2_rice(wide_x[~small], wide_nu[~small])

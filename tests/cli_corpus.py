@@ -170,6 +170,7 @@ CORPUS = [
     "pit --delta-true 2 --sigma 1e200 --radius 2 --n 100 --format json",
     # a draw |y| past the largest float, though |y|/sigma stays near 1
     "pit --delta-true 1.7e308 --sigma 1.7e308 --radius 1.7e308 --n 100",
+    "sweep --delta-true 1.7e308 --radius 1.7e308 --sigma-grid 1.7e308 --n-reps 10",
     # roots anywhere in the float range, and the one beyond it (exit 1)
     "analyze --norm 1e-320 --sigma 1e-320 --radius 1e-320 --format json",
     "analyze --norm 3e-315 --sigma 3e-315 --radius 3e-315 --format json",
@@ -182,7 +183,7 @@ CORPUS = [
     "analyze --norm 1.3407807929942596e154 --sigma 1 --radius 1 --format json",
     "sweep --delta-true 1.3e154 --radius 1e154 --sigma-grid 1 --n-reps 2 --format json",
     "analyze --norm 1.7e308 --sigma 1e307 --radius 1e307 --format json",
-    # the stuck Poisson tail, now bounded
+    # near-limit accuracy: G2 at noncentralities near 1359, where the series sums its most terms
     "analyze --norm 36.870482378617375 --sigma 1 --radius 30 --format json",
     "sweep --delta-true 36.8 --radius 35 --sigma-grid 1 --n-reps 200 --seed 2 --format json",
     # every u = 1.0, counted in the last bin
@@ -200,6 +201,10 @@ CORPUS = [
     f"analyze {REFERENCE} --level 0.9999999999999999 --format csv",
     f"analyze {REFERENCE} --level 0.9999999999999999 --format json",
     f"analyze {REFERENCE} --level 0.99 --format json",
+    # deep levels whose Bayes upper end needs B within 1e-14 of 1 (roots
+    # 24.6040512375 and 25.7720530046)
+    f"analyze {REFERENCE} --level 0.99999999999999 --format json",
+    f"analyze {REFERENCE} --level 0.9999999999999998 --format json",
     # small sigma: many G2 arguments past the direct series
     "sweep --sigma-grid 0.01 --n-reps 200 --format json",
     "analyze --norm 150 --sigma 1 --radius 140 --format json",

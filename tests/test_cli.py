@@ -80,6 +80,9 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     (CURVE + ("--grid=-1e308:1e308:3",), "--grid", "'-1e308:1e308:3'"),
     # pit_sample takes no worker count, so the CLI checks --workers itself
     (PIT + ("--workers", "0"), "--workers", "0"),
+    # a drawn |y| past the largest float, though delta_true/sigma is 1
+    (PIT + ("--delta-true", "1.7e308", "--sigma", "1.7e308", "--radius", "1.7e308"),
+     "--delta-true and --sigma", "1.7e+308 and 1.7e+308"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)
@@ -466,9 +469,9 @@ def test_roots_anywhere_in_float_range(capsys, argv, failure):
             assert 0.0 <= lo <= mid <= hi and 0.0 < hi
 
 
-def test_stuck_poisson_tail_inputs_run(capsys):
-    # both runs need G2 at noncentralities near 1359 where the summed Poisson
-    # weight stays above the direct series' tail stop
+def test_near_limit_inputs_run(capsys):
+    # both runs need G2 at noncentralities near 1359, close to the direct
+    # series' limit of 1400, where it sums its most terms
     code, _, err = run_cli(capsys, "analyze", "--norm", "36.870482378617375",
                            "--sigma", "1", "--radius", "30")
     assert code == 0 and err == ""
@@ -483,6 +486,13 @@ def test_stuck_poisson_tail_inputs_run(capsys):
     for name in ("freq_bayes", "freq_cd"):
         p = row[f"{name}_exact"]
         assert abs(row[name] - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), name
+
+
+def test_deep_level_reaches_bayes_root(capsys):
+    # bayes_hi needs B = G2 within 5e-15 of 1 at (delta/sigma)^2 < 1400;
+    # 24.6040512375 is the 40-digit root, and B moves about 4 ulp(1) within 0.06 of it
+    code, out, _ = run_cli(capsys, *ANALYZE, "--level", "0.99999999999999", "--format", "json")
+    assert code == 0 and abs(json.loads(out)["bayes_hi"] - 24.6040512375) <= 0.06
 
 
 class TestConfigAndOutput:

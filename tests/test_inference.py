@@ -19,6 +19,7 @@ from confdist import (
 )
 from confdist import inference
 from confdist.specfun import bessel_i0_scaled, noncentral_chisq2_cdf
+from oracles import mp_g2
 
 # Reference case used throughout: |y| = 5.00, sigma = 2.50, radius = 2.00.
 # Tabulated summary values for it (3-decimal granularity) are 4.29 / 5.61
@@ -226,6 +227,13 @@ class TestCollisionQuantities:
     def test_far_separation(self):
         o = Observation.from_norm(10.0, 0.5)
         assert collision_confidence(o, 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("a, r", [(10.0, 3.0), (20.0, 5.0)])
+    def test_small_values_within_4_ulp(self, a, r):
+        # C(R) near 2.4e-12 and 7.4e-51 at (|y|/sigma, R/sigma) = (a, r): 1 - G2
+        # rounds no further from the oracle than G2's own last bits near 1
+        got = collision_confidence(Observation.from_norm(a, 1.0), r)
+        assert abs(got - (1.0 - mp_g2(a * a, r * r, dps=50))) <= 4 * 2.0**-52
 
     def test_radius_validation(self, obs):
         for bad in (0.0, -2.0, math.nan, math.inf):

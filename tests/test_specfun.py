@@ -222,27 +222,49 @@ class TestNoncentralChisq2Cdf:
                 assert _clamped_or_message(noncentral_chisq2_cdf, x, nu) == want_outcome
                 assert _clamped_or_message(_cdf_grid, np.array([x]), nu) == want_outcome
 
-    def test_series_bounded_without_tail_stop(self, monkeypatch):
-        # with no tail bound the loops run until the Poisson(h) CDF reaches 1,
-        # which it misses by a few ulps at these x; the term bound ends them
-        xs = np.array([5.5, 8.0, 13.5, 14.5])
-        scalar = noncentral_chisq2_cdf(14.5, 1.0)
-        vector = _cdf_grid(xs, 1.0)
-        monkeypatch.setattr(specfun, "_POISSON_TAIL", -1.0)
+    def test_term_count_leaves_out_under_1e_17(self):
+        # P(Poisson(m) >= K) grows with m, so for each term count K it is
+        # largest at the last m in [0, 700] given K, found by bisection
+        terms = specfun._series_terms
+        worst = 0.0
+        with mp.workdps(30):
+            for k in range(terms(0.0), terms(700.0) + 1):
+                lo, hi = 0.0, 700.0  # terms(lo) <= k < terms(hi), unless 700 is given k
+                if terms(hi) <= k:
+                    lo = hi
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if terms(mid) <= k else (lo, mid)
+                worst = max(worst, mp.gammainc(terms(lo), 0, lo, regularized=True))
+        assert worst < 1e-17
+        assert terms(700.0) < 1401
 
-        class CountedLam(float):  # counts the terms, one lam / k per term
+    # (lam, h) with h > lam, so the Poisson(h) CDF q stays below 1 and only the term count ends the loop
+    @pytest.mark.parametrize("lam, h", [(0.0, 3.0), (0.5, 7.25), (50.0, 60.0), (300.0, 330.0)])
+    def test_series_runs_its_term_count(self, lam, h):
+        class CountedLam(np.float64):  # counts the recurrence steps, one lam / k each
             terms = 0
 
             def __truediv__(self, k):
                 CountedLam.terms += 1
                 return float(self) / k
 
-        assert abs(specfun._cdf_series_direct(CountedLam(0.5), 7.25) - scalar) <= 1e-15
-        assert CountedLam.terms == specfun._DIRECT_TERMS - 1
-        assert np.max(np.abs(_cdf_grid(xs, 1.0) - vector)) <= 1e-15
+        steps = specfun._series_terms(min(lam, h)) - 1
+        scalar = specfun._cdf_series_direct(CountedLam(lam), h)
+        assert CountedLam.terms == steps
+        CountedLam.terms = 0
+        vector = specfun._cdf_series_grid(CountedLam(lam), np.array([h]))
+        assert CountedLam.terms == steps
+        assert vector.tolist() == [scalar] == [noncentral_chisq2_cdf(2.0 * h, 2.0 * lam)]
 
-    # noncentralities where 1 - (summed Poisson weight) rounds to a value stuck
-    # above the 1e-14 tail stop, so only the term bound ends the series
+    def test_upper_tail_reaches_one(self):
+        # 1 - G2(x, 4) < 1e-30 for x >= 200, so every value there rounds to 1
+        xs = np.linspace(200.0, 1400.0, 1201)
+        assert set(_cdf_grid(xs, 4.0).tolist()) == {1.0}
+        assert {noncentral_chisq2_cdf(x, 4.0) for x in xs.tolist()} == {1.0}
+
+    # near-limit accuracy: noncentralities near 1359, where the series sums
+    # its most terms, checked against the 50-digit mixture
     @pytest.mark.parametrize("x, nu", [
         (1000.0, 1358.45),
         (1358.45, 1358.45),
