@@ -50,6 +50,9 @@ __all__ = ["main", "UsageError"]
 
 # numerator of the two-sided 1% KS critical value
 KS_CRITICAL_1PCT = 1.63
+# the flag whose count sizes each command's arrays: main names it when they
+# do not fit in memory, though numpy can index them
+COUNT_FLAGS = {"curve": "--grid", "sweep": "--n-reps", "pit": "--n"}
 
 CURVE_HEADER = "delta,B,C,cc,cred"
 SWEEP_HEADER = (
@@ -369,4 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     except (BracketError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        if args.command not in COUNT_FLAGS:
+            raise
+        flag = COUNT_FLAGS[args.command]
+        value = getattr(values, flag[2:].replace("-", "_"))
+        print(f"error: {flag} must give arrays that fit in memory, got {value!r}", file=sys.stderr)
+        return 2
     return 0

@@ -5,9 +5,9 @@ exp(-x) I0(x), the noncentral chi-square CDF with 2 degrees of freedom
 (scalar, and broadcast over arrays), and the one root solver:
 invert_monotone, which returns 0 for a target an atom at 0 covers and
 otherwise bisects the floats of [0, largest float] by their bit patterns.
-All of it is deterministic: a float series for small arguments (with a
-numpy twin for arrays), and one fixed Gauss-Legendre rule for large ones
-that scalar and array calls share. The accuracy contracts are stated per
+All of it is deterministic: one series for small arguments, run on floats
+or on numpy arrays, and one fixed Gauss-Legendre rule for large ones, each
+shared by scalar and array calls. The accuracy contracts are stated per
 function; a root is where f crosses the target between adjacent floats,
 the least float at which f reaches it if f is nondecreasing across floats.
 """
@@ -201,39 +201,31 @@ def _series_terms(m: float) -> int:
     return math.ceil(m + 8.75 * math.sqrt(m) + 10.5)
 
 
-def _cdf_series_direct(lam: float, h: float) -> float:
-    # Poisson(lam) mixture of central chi-square CDFs, both recurrences
-    # started from k = 0; valid while exp(-lam) and exp(-h) are normal.
-    w = math.exp(-lam)
-    t = math.exp(-h)
-    q = t  # Poisson(h) CDF at k, i.e. upper tail of P(chi2_{2(k+1)} <= 2h)
-    acc = w * (1.0 - q)
-    for k in range(1, _series_terms(min(lam, h))):
+# the series' term indices k as floats, enough for m = min(lam, h) <= 700: a float
+# divides by a float faster than by an int, to the same bits
+_TERM_INDEX = [float(k) for k in range(_series_terms(_EXP_LIMIT))]
+
+
+def _cdf_series(lam, h):
+    # Poisson(lam) mixture of central chi-square CDFs over k < K(m), m the largest
+    # min(lam, h), on floats or on arrays that broadcast (a 0-d operand stays 0-d);
+    # both recurrences start from k = 0, valid while exp(-lam) and exp(-h) are normal.
+    # w is half the Poisson(lam) weight, so each term w * (g + |g|) is the weight
+    # times max(1 - q, 0) exactly: once the Poisson(h) CDF q rounds to 1, the rest vanish.
+    if isinstance(lam, float) and isinstance(h, float):
+        exp, m = math.exp, min(lam, h)
+    else:
+        exp, m = np.exp, float(np.minimum(lam, h).max())
+    w, t = 0.5 * exp(-lam), exp(-h)
+    q = t + 0.0  # a copy, as t is updated in place
+    g = 1.0 - q
+    acc = w * (g + abs(g))
+    for k in _TERM_INDEX[1:_series_terms(m)]:
         w *= lam / k
         t *= h / k
         q += t
         g = 1.0 - q
-        if g <= 0.0:
-            break  # remaining factors vanish at float precision
-        acc += w * g
-    return acc
-
-
-def _cdf_series_grid(lam: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # _cdf_series_direct broadcast over lam and h, to the term count of the largest min(lam, h)
-    w = np.exp(-lam)
-    t = np.exp(-h)
-    q = t.copy()
-    acc = np.zeros(np.broadcast_shapes(lam.shape, h.shape))  # an array even for 0-d inputs
-    acc += w * (1.0 - q)
-    for k in range(1, _series_terms(float(np.minimum(lam, h).max()))):
-        w *= lam / k
-        t *= h / k
-        q += t
-        g = np.maximum(1.0 - q, 0.0)
-        if not g.any():
-            break  # remaining factors vanish at float precision
-        acc += w * g
+        acc += w * (g + abs(g))
     return acc
 
 
@@ -267,9 +259,10 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     While x and nu stay at or below 1400, sums the Poisson mixture
         sum_k e^{-lam} lam^k / k! * P(chi2_{2(k+1)} <= x),  lam = nu / 2,
     by recurrences over k < ceil(m + 8.75 sqrt(m) + 10.5), m = min(lam, x/2),
-    at most 943 terms, which leave out under 1e-17 (sooner only where the rest
-    vanish in float). Beyond that, integrates the Rice density of sqrt(chi2)
-    by a fixed 144-node Gauss-Legendre rule, in the same time at any nu.
+    at most 943 terms, which leave out under 1e-17; a term adds 0 where its
+    chi-square CDF, formed as 1 minus a Poisson CDF, rounds to 0 or below.
+    Beyond that, integrates the Rice density of sqrt(chi2) by a fixed
+    144-node Gauss-Legendre rule, in the same time at any nu.
     Absolute error <= 1e-12; results are clamped to [0, 1], and one
     straying more than 1e-9 outside raises ConvergenceError, by the one
     guard that _cdf_grid shares.
@@ -277,7 +270,7 @@ def noncentral_chisq2_cdf(x: float, nu: float) -> float:
     x = require_nonnegative("x", x)
     nu = require_nonnegative("nu", nu)
     if max(x, nu) <= _DIRECT_LIMIT:
-        p = _cdf_series_direct(0.5 * nu, 0.5 * x)
+        p = _cdf_series(0.5 * nu, 0.5 * x)
     else:
         p = float(_g2_rice(np.array([x]), np.array([nu]))[0])
     if p < -_PROB_SLACK or p > 1.0 + _PROB_SLACK:
@@ -304,8 +297,8 @@ def _cdf_grid(x, nu) -> np.ndarray:
     wide_x, wide_nu = np.broadcast_to(x, shape), np.broadcast_to(nu, shape)
     small, acc = np.maximum(x, nu) <= _DIRECT_LIMIT, np.empty(shape)
     if small.any():  # the series' term count refuses an empty array; a 0-d operand stays 0-d
-        acc[small] = _cdf_series_grid(0.5 * (nu if nu.ndim == 0 else wide_nu[small]),
-                                      0.5 * (x if x.ndim == 0 else wide_x[small]))
+        acc[small] = _cdf_series(0.5 * (nu if nu.ndim == 0 else wide_nu[small]),
+                                  0.5 * (x if x.ndim == 0 else wide_x[small]))
     acc[~small] = _g2_rice(wide_x[~small], wide_nu[~small])
     bad = (acc < -_PROB_SLACK) | (acc > 1.0 + _PROB_SLACK)
     if bad.any():

@@ -171,6 +171,8 @@ CORPUS = [
     # a draw |y| past the largest float, though |y|/sigma stays near 1
     "pit --delta-true 1.7e308 --sigma 1.7e308 --radius 1.7e308 --n 100",
     "sweep --delta-true 1.7e308 --radius 1.7e308 --sigma-grid 1.7e308 --n-reps 10",
+    # |y|/sigma past the square root of the largest float, in a sweep: names the grid entry
+    "sweep --delta-true 1e200 --radius 1 --sigma-grid 1e-200 --n-reps 10",
     # roots anywhere in the float range, and the one beyond it (exit 1)
     "analyze --norm 1e-320 --sigma 1e-320 --radius 1e-320 --format json",
     "analyze --norm 3e-315 --sigma 3e-315 --radius 3e-315 --format json",

@@ -213,8 +213,8 @@ class TestExactRow:
     def test_failed_root_is_named(self, monkeypatch, root, stray_at, g2_args):
         # a G2 result outside [0, 1] inside one threshold root (x0 = 4): the
         # error names that root and the row's inputs, and chains the guard's error
-        series = specfun._cdf_series_direct
-        monkeypatch.setattr(specfun, "_cdf_series_direct",
+        series = specfun._cdf_series
+        monkeypatch.setattr(specfun, "_cdf_series",
                             lambda lam, h: 1.5 if stray_at(lam, h) else series(lam, h))
         with pytest.raises(ConvergenceError) as info:
             exact_row(Scenario(1.99, 1.0, 2.0), threshold=0.95)

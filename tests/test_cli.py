@@ -83,12 +83,48 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     # a drawn |y| past the largest float, though delta_true/sigma is 1
     (PIT + ("--delta-true", "1.7e308", "--sigma", "1.7e308", "--radius", "1.7e308"),
      "--delta-true and --sigma", "1.7e+308 and 1.7e+308"),
+    # sweep has no --sigma: |y|/sigma past the square root of the largest float
+    # names the grid entry that set sigma
+    (SWEEP + ("--delta-true", "1e200", "--radius", "1", "--sigma-grid", "1e-200"),
+     "--delta-true and --sigma-grid", "1e+200 and sigma_grid[0] = 1e-200"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {named} ") and err.count("\n") == 1
     assert err.endswith(f", got {value}\n")
+
+
+@pytest.mark.parametrize("argv, allocation, flag, value", [
+    (CURVE + ("--grid", "0:1:100000000000"), "linspace", "--grid", "'0:1:100000000000'"),
+    (("sweep", "--sigma-grid", "1", "--n-reps", "100000000000"), "empty", "--n-reps",
+     "100000000000"),
+    (PIT + ("--n", "100000000000"), "empty", "--n", "100000000000"),
+])
+def test_count_past_memory_names_its_flag(capsys, monkeypatch, argv, allocation, flag, value):
+    # numpy can index these counts (each is below MAX_ROWS) but no memory holds
+    # them: the allocation, refused here as it would be for real, exits 2
+    real = getattr(np, allocation)
+
+    def refuse_large(*args, **kwargs):
+        size = args[2] if allocation == "linspace" else np.prod(args[0])
+        if size > 10**9:
+            raise MemoryError(f"Unable to allocate {8 * size} bytes")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, allocation, refuse_large)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must give arrays that fit in memory, got {value}\n"
+
+
+def test_sweep_names_the_grid_entry_whose_draws_overflow(capsys):
+    # sigma_grid[1] draws |y| past the largest float; sigma_grid[0] runs first
+    code, _, err = run_cli(capsys, "sweep", "--delta-true", "1", "--radius", "1",
+                           "--sigma-grid", "1,1.7e308", "--n-reps", "10")
+    assert code == 2
+    assert err == ("error: --delta-true and --sigma-grid must give draws with a finite norm |y|, "
+                   "got 1.0 and sigma_grid[1] = 1.7e+308\n")
 
 
 class TestAnalyze:
@@ -425,12 +461,13 @@ def test_huge_sigma_runs(capsys, argv):
 ])
 def test_overflowing_sigma_is_named(capsys, argv):
     # (R/sigma)^2 or (|y|/sigma)^2 really overflows; the message names the
-    # inputs, not the internal grid arguments
+    # inputs, not the internal grid arguments (for |y|, the flags and sweep's grid entry)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "sigma=1e-160" in err
-    assert ("radius=" if argv[2] == "0" else "delta_true=") in err
+    named = (("radius=", "sigma=1e-160") if argv[2] == "0" else
+             ("--delta-true and --sigma-grid ", "sigma_grid[0] = 1e-160"))
+    assert all(name in err for name in named)
 
 
 @pytest.mark.parametrize("argv, failure", [

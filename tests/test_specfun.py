@@ -210,8 +210,7 @@ class TestNoncentralChisq2Cdf:
         # each raw result on the direct (x = 1) and the Rice (x = 2000 or
         # nu = 2000) path, scalar and vector; a rejection names the regime
         for raw, want in OUTSIDE_UNIT:
-            monkeypatch.setattr(specfun, "_cdf_series_direct", lambda lam, h: raw)
-            monkeypatch.setattr(specfun, "_cdf_series_grid",
+            monkeypatch.setattr(specfun, "_cdf_series",
                                 lambda lam, h: np.full(np.broadcast(lam, h).shape, raw))
             monkeypatch.setattr(specfun, "_g2_rice", lambda x, nu: np.full(x.shape, raw))
             for x, nu, regime in ((1.0, 1.0, "direct series"), (2000.0, 1.0, "Rice rule"),
@@ -239,7 +238,8 @@ class TestNoncentralChisq2Cdf:
         assert worst < 1e-17
         assert terms(700.0) < 1401
 
-    # (lam, h) with h > lam, so the Poisson(h) CDF q stays below 1 and only the term count ends the loop
+    # the loop has no other exit: each call runs K(min(lam, h)) - 1 steps after the k = 0 term,
+    # also where h > lam keeps the Poisson(h) CDF q below 1 throughout
     @pytest.mark.parametrize("lam, h", [(0.0, 3.0), (0.5, 7.25), (50.0, 60.0), (300.0, 330.0)])
     def test_series_runs_its_term_count(self, lam, h):
         class CountedLam(np.float64):  # counts the recurrence steps, one lam / k each
@@ -250,12 +250,23 @@ class TestNoncentralChisq2Cdf:
                 return float(self) / k
 
         steps = specfun._series_terms(min(lam, h)) - 1
-        scalar = specfun._cdf_series_direct(CountedLam(lam), h)
+        scalar = specfun._cdf_series(CountedLam(lam), h)
         assert CountedLam.terms == steps
         CountedLam.terms = 0
-        vector = specfun._cdf_series_grid(CountedLam(lam), np.array([h]))
+        vector = specfun._cdf_series(CountedLam(lam), np.array([h]))
         assert CountedLam.terms == steps
         assert vector.tolist() == [scalar] == [noncentral_chisq2_cdf(2.0 * h, 2.0 * lam)]
+
+    # B's lower tail, x << nu: the Poisson(x/2) CDF q rounds to 1 within the series, and
+    # each term after must add nothing. Not clipped at 0, the terms with 1 - q < 0 put the
+    # row element 5%, 100% and 0.18% off, and the scalar call 0.47% off at (9, 161.29)
+    @pytest.mark.parametrize("x, nu", [(25.0, 161.29), (9.0, 161.29),
+                                       (900.0, 36.870482378617375 ** 2)])
+    def test_lower_tail_terms_clipped_at_zero(self, x, nu):
+        want = mp_g2(x, nu)  # 4.22297e-15, 7.2261e-23 and 2.87941e-12
+        # the row's element at x = 1400 runs the series to K(nu/2) terms for x too
+        for got in (noncentral_chisq2_cdf(x, nu), _cdf_grid(np.array([x, 1400.0]), nu)[0]):
+            assert abs(got / want - 1.0) < 5e-4
 
     def test_upper_tail_reaches_one(self):
         # 1 - G2(x, 4) < 1e-30 for x >= 200, so every value there rounds to 1
@@ -379,14 +390,14 @@ class TestVectorHelpers:
 
     @pytest.fixture
     def series_calls(self, monkeypatch):
-        # every (lam, h) pair that _cdf_grid hands the vector series
-        calls, series = [], specfun._cdf_series_grid
+        # every (lam, h) pair handed to the series (here, all by _cdf_grid)
+        calls, series = [], specfun._cdf_series
 
         def spy(lam, h):
             calls.append((lam, h))
             return series(lam, h)
 
-        monkeypatch.setattr(specfun, "_cdf_series_grid", spy)
+        monkeypatch.setattr(specfun, "_cdf_series", spy)
         return calls
 
     def test_one_path_per_element(self, series_calls):
