@@ -9,12 +9,22 @@ exact twin in closed form.
 """
 
 import gc
+import os
+import sys
 
 # numpy, scipy and these modules build ~50,000 objects that live until exit:
 # pause the collector while they load, then promote them all to the oldest
 # generation (freeze, unfreeze) so the next collection does not scan them as
 # young. A caller's frozen objects stay frozen; the collector ends as found.
+# No confdist path calls BLAS, yet numpy and scipy each load an OpenBLAS that
+# starts a worker pool at load time. When this import is the one that loads
+# numpy, and the caller has not chosen a size, both pools load with one
+# thread: OpenBLAS reads OPENBLAS_NUM_THREADS once, at load, so the variable
+# is removed again and the environment ends as found.
 _collecting = gc.isenabled()
+_one_blas_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _one_blas_thread:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 gc.disable()
 try:
     from . import calibration, inference, specfun
@@ -27,7 +37,9 @@ finally:
         gc.unfreeze()
     if _collecting:
         gc.enable()
-    del _collecting
+    if _one_blas_thread:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del _collecting, _one_blas_thread
 
 __version__ = "0.1.0"
 

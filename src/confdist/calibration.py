@@ -161,11 +161,12 @@ def _sample(
     (radius/sigma)^2. Each block of at most _DRAW_ROWS rows is the next draw
     from the substream keyed by key, and every column sees each block.
     key is () for pit's sigma and (i,) for sigma_grid[i] of a sweep; a
-    DomainError for an overflowing |y| names delta_true and that sigma."""
+    DomainError for an overflowing |y| or radius/sigma names delta_true or
+    radius and that sigma."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
     delta_true, sigma = scenario.delta_true, scenario.sigma
     name, entry = ("sigma_grid", f"sigma_grid[{key[0]}] = ") if key else ("sigma", "")
-    got = f"{delta_true!r} and {entry}{sigma!r}"
+    got = f"{entry}{sigma!r}"  # the sigma a message names, after the other input
     out = [np.empty(n) for _ in columns]
     for start in range(0, n, _DRAW_ROWS):
         m = min(_DRAW_ROWS, n - start)
@@ -173,14 +174,18 @@ def _sample(
         norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, m)
         if not math.isfinite(norm.max()):  # a draw past the largest float, whatever |y|/sigma is
             raise DomainError(f"delta_true and {name} must give draws with a finite norm |y|, "
-                              f"got {got}")
+                              f"got {delta_true!r} and {got}")
         try:
             z = require_squared_ratio("|y|", norm, sigma)
         except DomainError:  # |y|/sigma is about delta_true/sigma, which overflows squared
             raise DomainError(f"delta_true and {name} must keep (|y|/sigma)^2 finite, "
-                              f"got {got}") from None
+                              f"got {delta_true!r} and {got}") from None
         if start == 0:  # after block 0's |y| check, so an overflowing |y| is named first
-            x0 = require_squared_ratio("radius", scenario.radius, sigma)
+            try:
+                x0 = require_squared_ratio("radius", scenario.radius, sigma)
+            except DomainError:
+                raise DomainError(f"radius and {name} must keep (radius/sigma)^2 finite, "
+                                  f"got {scenario.radius!r} and {got}") from None
         for values, column in zip(out, columns):
             values[start : start + m] = column(z, x0)
     return out

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -461,13 +462,14 @@ def test_huge_sigma_runs(capsys, argv):
 ])
 def test_overflowing_sigma_is_named(capsys, argv):
     # (R/sigma)^2 or (|y|/sigma)^2 really overflows; the message names the
-    # inputs, not the internal grid arguments (for |y|, the flags and sweep's grid entry)
+    # flags and their values, with sweep's grid entry, not the internal grid arguments
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    named = (("radius=", "sigma=1e-160") if argv[2] == "0" else
-             ("--delta-true and --sigma-grid ", "sigma_grid[0] = 1e-160"))
-    assert all(name in err for name in named)
+    first = "--radius" if argv[2] == "0" else "--delta-true"
+    second, sigma = (("--sigma-grid", "sigma_grid[0] = 1e-160") if argv[0] == "sweep" else
+                     ("--sigma", " 1e-160"))
+    assert err.startswith(f"error: {first} and {second} ") and err.endswith(f"{sigma}\n")
 
 
 @pytest.mark.parametrize("argv, failure", [
@@ -822,3 +824,54 @@ class TestImportCollector:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == expected
+
+
+# imports the modules named in argv, then confdist, and prints the process's
+# thread count (null where /proc/self/task does not exist), whether os.environ
+# is as it was before `import confdist`, and OPENBLAS_NUM_THREADS
+BLAS_THREADS = """
+import importlib, json, os, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+before = dict(os.environ)
+import confdist
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([tasks, dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+class TestImportBlasThreads:
+    """No confdist path calls BLAS: when `import confdist` loads numpy and the
+    caller has not sized the pools, numpy's and scipy's OpenBLAS load with one
+    thread, and the environment ends as the caller left it."""
+
+    @staticmethod
+    def import_confdist(*argv: str, **env: str) -> tuple[int | None, bool, str | None]:
+        # OpenBLAS falls back to these when OPENBLAS_NUM_THREADS is unset
+        child = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS, *argv],
+                              env={**child, **env}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout))
+
+    def test_one_thread_and_environment_restored(self):
+        tasks, unchanged, value = self.import_confdist()
+        assert unchanged and value is None
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert tasks == 1
+
+    def test_callers_setting_kept(self):
+        _, unchanged, value = self.import_confdist(OPENBLAS_NUM_THREADS="2")
+        assert unchanged and value == "2"
+
+    def test_host_that_loaded_numpy_keeps_its_pools(self):
+        tasks, unchanged, value = self.import_confdist("numpy")
+        assert unchanged and value is None
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads")
+        # scipy's pool too is sized as the host's own `import scipy.integrate` sizes it
+        assert tasks == self.import_confdist("numpy", "scipy.integrate")[0]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert tasks > 1
