@@ -28,8 +28,7 @@ import scipy.integrate  # noqa: F401
 
 from .specfun import (
     MAX_ROWS,
-    BracketError,
-    ConvergenceError,
+    ConfdistError,
     DomainError,
     _cdf_grid,
     bessel_i0_scaled,
@@ -89,13 +88,13 @@ class SweepConfig:
                 raise TypeError
             entries = tuple(self.sigma_grid)
         except TypeError:
-            raise DomainError(f"sigma_grid entries must be numbers, got {self.sigma_grid!r}")
+            raise DomainError("entries must be numbers", ("sigma_grid", self.sigma_grid))
         grid = []
         for i, s in enumerate(entries):
             try:
                 grid.append(float(s))
             except (TypeError, ValueError):
-                raise DomainError(f"sigma_grid entries must be numbers, got sigma_grid[{i}] = {s!r}")
+                raise DomainError("entries must be numbers", (f"sigma_grid[{i}]", s))
         require_grid("sigma_grid", np.array(grid, dtype=float), positive=True)
         object.__setattr__(self, "sigma_grid", tuple(grid))
         object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1, MAX_ROWS))
@@ -160,32 +159,22 @@ def _sample(
     (|y_r|/sigma)^2 (|y_r| formed as Observation.norm forms it) and x0 =
     (radius/sigma)^2. Each block of at most _DRAW_ROWS rows is the next draw
     from the substream keyed by key, and every column sees each block.
-    key is () for pit's sigma and (i,) for sigma_grid[i] of a sweep; a
-    DomainError for an overflowing |y| or radius/sigma names delta_true or
-    radius and that sigma."""
+    key is () for pit's sigma and (i,) for sigma_grid[i] of a sweep, and a
+    DomainError names that sigma by it: after delta_true, which sets |y|/sigma,
+    for an overflowing |y|, and after the radius for an overflowing radius/sigma."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
-    delta_true, sigma = scenario.delta_true, scenario.sigma
-    name, entry = ("sigma_grid", f"sigma_grid[{key[0]}] = ") if key else ("sigma", "")
-    got = f"{entry}{sigma!r}"  # the sigma a message names, after the other input
+    delta_true, sigma, radius = scenario.delta_true, scenario.sigma, scenario.radius
+    given = ("delta_true", delta_true), (f"sigma_grid[{key[0]}]" if key else "sigma", sigma)
     out = [np.empty(n) for _ in columns]
     for start in range(0, n, _DRAW_ROWS):
         m = min(_DRAW_ROWS, n - start)
         y = rng.normal((delta_true, 0.0), sigma, size=(m, 2))
         norm = np.fromiter(map(math.hypot, y[:, 0].tolist(), y[:, 1].tolist()), float, m)
         if not math.isfinite(norm.max()):  # a draw past the largest float, whatever |y|/sigma is
-            raise DomainError(f"delta_true and {name} must give draws with a finite norm |y|, "
-                              f"got {delta_true!r} and {got}")
-        try:
-            z = require_squared_ratio("|y|", norm, sigma)
-        except DomainError:  # |y|/sigma is about delta_true/sigma, which overflows squared
-            raise DomainError(f"delta_true and {name} must keep (|y|/sigma)^2 finite, "
-                              f"got {delta_true!r} and {got}") from None
+            raise DomainError("must give draws with a finite norm |y|", *given)
+        z = require_squared_ratio("|y|", norm, sigma, *given)
         if start == 0:  # after block 0's |y| check, so an overflowing |y| is named first
-            try:
-                x0 = require_squared_ratio("radius", scenario.radius, sigma)
-            except DomainError:
-                raise DomainError(f"radius and {name} must keep (radius/sigma)^2 finite, "
-                                  f"got {scenario.radius!r} and {got}") from None
+            x0 = require_squared_ratio("radius", radius, sigma, ("radius", radius), given[1])
         for values, column in zip(out, columns):
             values[start : start + m] = column(z, x0)
     return out
@@ -226,10 +215,10 @@ def exact_row(scenario: Scenario, threshold: float = 0.95) -> ExactRow:
     def threshold_root(name, f):
         try:
             return invert_monotone(f, threshold)
-        except (BracketError, ConvergenceError) as exc:
-            raise type(exc)(f"exact_row's {name} failed at delta_true={scenario.delta_true!r}, "
-                            f"radius={scenario.radius!r}, sigma={sigma!r}, "
-                            f"threshold={threshold!r}: {exc}") from exc
+        except ConfdistError as exc:
+            raise type(exc)(f"must let exact_row solve its {name} ({exc})",
+                            ("delta_true", scenario.delta_true), ("radius", scenario.radius),
+                            ("sigma", sigma), ("threshold", threshold)) from exc
 
     nu_star = threshold_root("Bayes threshold root nu_star",
                              lambda v: 1.0 - noncentral_chisq2_cdf(x0, v))

@@ -13,7 +13,7 @@ codes: 0 success, 2 usage or validation error, 1 numerical failure.
 
 Each command is one table of Param entries (COMMANDS): the argparse flags,
 config keys and flag > config > default precedence derive from it; the
-domain checks are the library's, and main names each failure by its flag.
+domain checks are the library's, and _report names each input by its flag.
 A runner returns one Record, and _render alone formats it as text, csv or json.
 """
 
@@ -38,13 +38,7 @@ from .inference import (
     noncollision_pvalue,
     tabulate_curves,
 )
-from .specfun import (
-    MAX_ROWS,
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    require_count,
-)
+from .specfun import MAX_ROWS, ConfdistError, DomainError, require_count
 
 __all__ = ["main", "UsageError"]
 
@@ -67,7 +61,7 @@ ANALYZE_HEADER = (
 )
 
 
-class UsageError(Exception):
+class UsageError(ConfdistError):
     """Invalid flag or config input; mapped to exit code 2."""
 
 
@@ -120,7 +114,7 @@ def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.N
     """Each parameter's value by flag > config > default, cast and within its choices."""
     unknown = sorted(set(cfg) - {p.key for p in params})
     if unknown:
-        raise UsageError(f"config contains keys not used by this command: {', '.join(unknown)}")
+        raise UsageError(f"--config: keys not used by this command: {', '.join(unknown)}")
     values = {}
     for p in params:
         value = getattr(args, p.key)
@@ -131,7 +125,7 @@ def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.N
             try:
                 value = p.cast(text)
             except ValueError:
-                raise UsageError(f"config value {text!r} is invalid for {p.flag}")
+                raise UsageError(f"--config: value {text!r} is invalid for {p.flag}")
         if p.choices and value is not None and value not in p.choices:
             raise UsageError(f"{p.flag} must be one of {', '.join(p.choices)}")
         values[p.key] = value
@@ -208,11 +202,11 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _observation(v: argparse.Namespace) -> Observation:
     if v.norm is not None and (v.y1 is not None or v.y2 is not None):
-        raise UsageError("pass either --norm or the --y1/--y2 pair, not both")
+        raise UsageError("--norm and the --y1/--y2 pair cannot both be given")
     if v.norm is not None:
         return Observation.from_norm(v.norm, v.sigma)
     if v.y1 is None or v.y2 is None:
-        raise UsageError("provide --norm, or both --y1 and --y2")
+        raise UsageError("--norm, or both --y1 and --y2, is required")
     return Observation(v.y1, v.y2, v.sigma)
 
 
@@ -351,32 +345,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: ConfdistError, command: str, values: argparse.Namespace | None) -> int:
+    """Print exc with each input named by its flag (|y| by --norm, or else --y1 and --y2;
+    delta by analyze's --radius or curve's --grid): exit 2, or 1 for a numerical failure."""
+    flags = {p.key: p.flag for p in COMMANDS[command][2]}
+    flags["|y|"] = "--norm" if getattr(values, "norm", None) is not None else "--y1 and --y2"
+    flags["delta"] = "--radius" if command == "analyze" else "--grid"
+    refused = isinstance(exc, (UsageError, DomainError))
+    prefix = "error: " if refused else "numerical failure: "
+    print(prefix + exc.render(lambda name: flags.get(name, name)), file=sys.stderr)
+    return 2 if refused else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _, run, params = COMMANDS[args.command]
+    values = None
     try:
         cfg = _load_config(args.config) if args.config else {}
         values = _resolve(params, args, cfg)
         _write_output(_render(values.format, run(values)), values.output)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        # the message names the arguments at fault before its " must ": print
-        # the flag of the parameter that set each
-        names, must, rest = str(exc).partition(" must ")
-        flags = {p.key: p.flag for p in params}
-        names = " ".join(flags.get(word, word) for word in names.split(" "))
-        print(f"error: {names}{must}{rest}", file=sys.stderr)
-        return 2
-    except (BracketError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
+    except ConfdistError as exc:
+        failure = exc
     except MemoryError:
         if args.command not in COUNT_FLAGS:
             raise
-        flag = COUNT_FLAGS[args.command]
-        value = getattr(values, flag[2:].replace("-", "_"))
-        print(f"error: {flag} must give arrays that fit in memory, got {value!r}", file=sys.stderr)
-        return 2
-    return 0
+        key = COUNT_FLAGS[args.command][2:].replace("-", "_")
+        failure = DomainError("must give arrays that fit in memory", (key, getattr(values, key)))
+    else:
+        return 0
+    return _report(failure, args.command, values)

@@ -71,8 +71,7 @@ class Observation:
         object.__setattr__(self, "y1", require_finite("y1", self.y1))
         object.__setattr__(self, "y2", require_finite("y2", self.y2))
         if not math.isfinite(math.hypot(self.y1, self.y2)):
-            raise DomainError(
-                f"y1 and y2 must give a finite norm |y|, got {self.y1!r} and {self.y2!r}")
+            raise DomainError("must give a finite norm |y|", ("y1", self.y1), ("y2", self.y2))
         object.__setattr__(self, "sigma", require_positive("sigma", self.sigma))
 
     @classmethod
@@ -87,10 +86,8 @@ class Observation:
 def _squared_ratios(obs: Observation, delta: float) -> tuple[float, float]:
     """(delta/sigma)^2 and (|y|/sigma)^2, the two G2 arguments of B and C."""
     delta = require_nonnegative("delta", delta)
-    return (
-        require_squared_ratio("delta", delta, obs.sigma),
-        require_squared_ratio("|y|", obs.norm, obs.sigma, delta=delta),
-    )
+    return (require_squared_ratio("delta", delta, obs.sigma),
+            require_squared_ratio("|y|", obs.norm, obs.sigma))
 
 
 # B and C in ratio space, of d2 = (delta/sigma)^2 and y2 = (|y|/sigma)^2
@@ -116,14 +113,14 @@ def _quantile(obs: Observation, method: Method, p: float) -> tuple[float, bool]:
     # d = delta/sigma so that roots scale with the inputs bit for bit.
     # Where d^2 overflows (quietly, as d is a Python float), y2 is finite and both CDFs are 1.
     if not isinstance(method, str) or method not in _CDF:
-        raise DomainError(f"method must be 'bayes' or 'cd', got {method!r}")
+        raise DomainError("must be 'bayes' or 'cd'", ("method", method))
     cdf = _CDF[method]
-    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=0.0)
+    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma)
     d = invert_monotone(lambda d: cdf(d * d, y2) if d * d < math.inf else 1.0, p)
     root = d * obs.sigma
     if root == math.inf:
-        raise BracketError(f"the {p!r} quantile of the {method} CDF lies beyond the largest float, "
-                           f"at |y|={obs.norm!r}, sigma={obs.sigma!r}")
+        raise BracketError(f"must give a {p!r} quantile of the {method} CDF within float range",
+                           ("|y|", obs.norm), ("sigma", obs.sigma))
     return root, d == 0.0
 
 
@@ -157,7 +154,7 @@ def level_interval(obs: Observation, method: Method, level: float) -> LevelInter
     """
     level = require_open_unit("level", level)
     if 0.5 * (1.0 + level) == 1.0:  # only at the float just below 1: the upper end has no target
-        raise DomainError(f"level must leave (1 + level)/2 below 1 as a float, got {level!r}")
+        raise DomainError("must leave (1 + level)/2 below 1 as a float", ("level", level))
     lo, clipped = _quantile(obs, method, 0.5 * (1.0 - level))
     hi, _ = _quantile(obs, method, 0.5 * (1.0 + level))
     return LevelInterval(lo, hi, clipped)
@@ -189,9 +186,9 @@ class CurveTable:
 def tabulate_curves(obs: Observation, grid) -> CurveTable:
     """Evaluate both CDFs and both centered curves over a delta grid."""
     grid = require_grid("grid", np.asarray(grid, dtype=float))
-    # |y| first: an overflow names the first delta, as per-point calls would
-    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma, delta=float(grid[0]))
-    d2 = require_squared_ratio("delta", grid, obs.sigma, delta=float(grid[-1]))
+    # |y| first: a per-point call fails on it whenever its delta does not overflow
+    y2 = require_squared_ratio("|y|", obs.norm, obs.sigma)
+    d2 = require_squared_ratio("delta", grid, obs.sigma)
     b = _cdf_grid(d2, y2)
     c = 1.0 - _cdf_grid(y2, d2)
     return CurveTable(

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "ConfdistError",
     "DomainError",
     "BracketError",
     "ConvergenceError",
@@ -31,15 +32,33 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
+class ConfdistError(Exception):
+    """A failure whose args are its rule text, then the inputs it names as
+    (name, value) pairs; a bare message is a rule with no inputs."""
+
+    joint = " and "  # between the values of two inputs
+
+    def render(self, name_of: Callable[[str], str] = str) -> str:
+        """'<names> <rule>, got <values>', names through name_of (str() keeps the
+        library's); an indexed name such as grid[2] is its array's, shown 'grid[2] = 1.0'."""
+        rule, *inputs = self.args
+        names = dict.fromkeys(name_of(name.partition("[")[0]) for name, _ in inputs)
+        got = self.joint.join(f"{name} = {value!r}" if "[" in name else repr(value)
+                              for name, value in inputs)
+        return f"{' and '.join(names)} {rule}, got {got}" if inputs else rule
+
+    __str__ = render
+
+
+class DomainError(ConfdistError, ValueError):
     """An argument lies outside a function's mathematical domain."""
 
 
-class BracketError(ValueError):
+class BracketError(ConfdistError, ValueError):
     """A nondecreasing function never reaches the target value."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ConfdistError, RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
@@ -72,52 +91,51 @@ _I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in rang
 
 # Argument checks shared by every module: each returns the value as a
 # float (or int, the squared ratio to sigma, or the grid itself) and raises
-# DomainError otherwise. Each message but the squared ratio's names its
-# argument before " must "; the CLI puts the flag that set it there.
+# a DomainError that carries the inputs at fault, built only on failure;
+# the CLI names each input by the flag that set it.
 
 
 def require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError("must be finite", (name, value))
     return value
 
 
 def require_nonnegative(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+        raise DomainError("must be finite and nonnegative", (name, value))
     return value
 
 
 def require_positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        raise DomainError("must be finite and positive", (name, value))
     return value
 
 
 def require_open_unit(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        raise DomainError("must lie strictly between 0 and 1", (name, value))
     return value
 
 
-def require_squared_ratio(name: str, value, sigma: float, **inputs):
+def require_squared_ratio(name: str, value, sigma: float, *inputs: tuple[str, object]):
     """(value/sigma)^2 for sigma > 0 and a nonnegative float or array value.
 
     The ratio is formed before the square, so the result depends on value
     and sigma only through value/sigma and leaves float range only when
-    the square itself does. Its DomainError names value (unless it is an
-    array), then any keyword inputs that produced it, then sigma.
+    the square itself does. Its DomainError carries inputs, by default
+    (name, value) and ("sigma", sigma), an array value by its largest entry.
     """
     is_array = isinstance(value, np.ndarray)
     ratio = (float(value.max()) if is_array else value) / sigma
     if not math.isfinite(ratio * ratio):
-        given = {**({} if is_array else {name: value}), **inputs, "sigma": sigma}
-        got = ", ".join(f"{k}={v!r}" for k, v in given.items())
-        raise DomainError(f"({name}/sigma)^2 must stay finite, got {got}")
+        raise DomainError(f"must keep ({name}/sigma)^2 finite",
+                          *(inputs or ((name, float(np.max(value))), ("sigma", sigma))))
     if is_array:
         ratio = value / sigma  # no element exceeds the peak checked above
     return ratio * ratio
@@ -127,19 +145,20 @@ def require_grid(name: str, grid: np.ndarray, positive: bool = False) -> np.ndar
     """grid itself if it is a nonempty 1-d float array of finite, strictly
     increasing values that are > 0 if positive, else >= 0.
 
-    Each message but the shape's names the first entry at fault.
+    Each error but the shape's carries the entries at fault, by index.
     """
     if grid.ndim != 1 or grid.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-d array, got shape {grid.shape}")
-    at = lambda i: f"{name}[{i}] = {grid[i].item()!r}"  # noqa: E731
+        raise DomainError("must have a nonempty 1-d shape", (name, grid.shape))
+    at = lambda i: (f"{name}[{i}]", grid[i].item())  # noqa: E731
     bad = np.flatnonzero(~(np.isfinite(grid) & ((grid > 0.0) if positive else (grid >= 0.0))))
     if bad.size:
         sign = "positive" if positive else "nonnegative"
-        raise DomainError(f"{name} values must be finite and {sign}, got {at(bad[0])}")
+        raise DomainError(f"values must be finite and {sign}", at(bad[0]))
     bad = np.flatnonzero(np.diff(grid) <= 0.0)
     if bad.size:
-        i = bad[0] + 1
-        raise DomainError(f"{name} must be strictly increasing, got {at(i)} after {at(i - 1)}")
+        error = DomainError("must be strictly increasing", at(bad[0] + 1), at(bad[0]))
+        error.joint = " after "  # the first entry out of order, then the one before it
+        raise error
     return grid
 
 
@@ -149,9 +168,9 @@ def require_count(name: str, value: int, minimum: int, maximum: int | None = Non
     except (TypeError, ValueError, OverflowError):
         ok = False  # int() refuses nan, infinities and non-numbers
     if not ok:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise DomainError(f"must be an integer >= {minimum}", (name, value))
     if maximum is not None and value > maximum:
-        raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
+        raise DomainError(f"must be at most {maximum}", (name, value))
     return int(value)
 
 

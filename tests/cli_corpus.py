@@ -155,12 +155,14 @@ CORPUS = [
     "curve --norm 5 --sigma 1 --grid 5:1:10 --config {tmp}/xml.cfg",
     "sweep --n-reps 10 --sigma-grid 0.5,.,2 --config {tmp}/xml.cfg",
     "pit --delta-true 2 --sigma 1 --radius 2 --workers 0 --config {tmp}/xml.cfg",
-    # squared ratios that leave float range, named by their inputs
+    # squared ratios that leave float range, named by the flags that set them
     "analyze --norm 1e200 --sigma 1 --radius 1",
+    "analyze --y1 1e200 --y2 0 --sigma 1 --radius 1",
     "analyze --norm 1 --sigma 1e-200 --radius 1",
     "analyze --norm 1 --sigma 1 --radius 1e300",
     "curve --norm 1e200 --sigma 1",
     "curve --norm 1 --sigma 1e-200 --grid 0:1:3",
+    "curve --norm 1 --sigma 1 --grid 0:1e300:3",
     "pit --delta-true 0 --sigma 1e-160 --radius 2 --n 100",
     "sweep --delta-true 0 --radius 2 --sigma-grid 1e-160 --n-reps 10",
     "sweep --delta-true 2 --sigma-grid 1e-160 --n-reps 10",
@@ -243,15 +245,15 @@ def write_configs(tmp: Path) -> None:
 
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
 ARGPARSE_ERROR = re.compile(r"confdist \w+: error: ")  # the line run() keeps of it
-ERROR_PREFIX = {1: "numerical failure: ", 2: "error: "}
+ERROR_PREFIX = {1: "numerical failure: --", 2: "error: --"}
 
 
 def faults(record: dict[str, object]) -> list[str]:
     """How a record breaks the rules that every command line keeps. Exit 0
     prints no nan or infinity to stdout or the --output file, and nothing
     to stderr. Exit 2, a refused input, and exit 1, a numerical failure,
-    print nothing to stdout and one stderr line: "error: " or argparse's
-    own error line, and "numerical failure: "."""
+    print nothing to stdout and one stderr line that starts with the flag at
+    fault: "error: --" (or argparse's own error line), and "numerical failure: --"."""
     code, err = record["exit"], record["stderr"]
     if code == 0:
         bad = [f"{key} line {i}: {line}" for key in ("stdout", "file")

@@ -59,7 +59,7 @@ class TestScenarioAndConfig:
         with pytest.raises(DomainError):
             SweepConfig(sigma_grid=("a",), n_reps=10, seed=0)
         for grid, message in [
-            ((), "sigma_grid must be a nonempty 1-d array, got shape (0,)"),
+            ((), "sigma_grid must have a nonempty 1-d shape, got (0,)"),
             ((0.0, 1.0), "sigma_grid values must be finite and positive, got sigma_grid[0] = 0.0"),
             # the sign check runs before the order check
             ((2, 1, -1), "sigma_grid values must be finite and positive, got sigma_grid[2] = -1.0"),
@@ -220,8 +220,11 @@ class TestExactRow:
             exact_row(Scenario(1.99, 1.0, 2.0), threshold=0.95)
         guard = (f"noncentral_chisq2_cdf({g2_args}) produced 1.5 by the direct series, "
                  "outside [0, 1]")
-        assert str(info.value) == (f"exact_row's {root} failed at delta_true=1.99, radius=2.0, "
-                                   f"sigma=1.0, threshold=0.95: {guard}")
+        assert str(info.value) == ("delta_true and radius and sigma and threshold must let "
+                                   f"exact_row solve its {root} ({guard}), "
+                                   "got 1.99 and 2.0 and 1.0 and 0.95")
+        assert info.value.args[1:] == (("delta_true", 1.99), ("radius", 2.0), ("sigma", 1.0),
+                                       ("threshold", 0.95))
         assert isinstance(info.value.__cause__, ConvergenceError)
         assert str(info.value.__cause__) == guard
 

@@ -203,7 +203,7 @@ class TestAnalyze:
     def test_y1_needs_y2(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--y1", "3", "--sigma", "2.5", "--radius", "2")
         assert code == 2 and out == ""
-        assert err == "error: provide --norm, or both --y1 and --y2\n"
+        assert err == "error: --norm, or both --y1 and --y2, is required\n"
 
     def test_numerical_failure_exits_1(self, capsys, monkeypatch):
         def stalled(obs, method):
@@ -222,10 +222,11 @@ class TestAnalyze:
         ("curve", "--norm", "1", "--sigma", "1e-200", "--grid", "0:1:3"),
     ])
     def test_squared_ratio_overflow_is_a_usage_error(self, capsys, argv):
+        # named by the flags that set the ratio: --norm for |y|, --radius for delta
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "delta=" in err and "sigma=" in err
+        assert code == 2 and out == "" and err.count("\n") == 1
+        first = "--norm" if argv[0] == "curve" or argv[2] == "1e200" else "--radius"
+        assert err.startswith(f"error: {first} and --sigma must keep (")
 
 
 class TestCurve:
@@ -486,8 +487,8 @@ def test_overflowing_sigma_is_named(capsys, argv):
     # the 0.95 quantiles, about 1.86e308, lie beyond the largest float: the
     # ratio d is 18.6, and d * sigma overflows
     (("analyze", "--norm", "1.7e308", "--sigma", "1e307", "--radius", "1e307"),
-     "numerical failure: the 0.95 quantile of the cd CDF lies beyond the largest float, "
-     "at |y|=1.7e+308, sigma=1e+307\n"),
+     "numerical failure: --norm and --sigma must give a 0.95 quantile of the cd CDF within "
+     "float range, got 1.7e+308 and 1e+307\n"),
     # |y|/sigma at the square root of the largest float: the squared ratio
     # d^2 = (delta/sigma)^2 overflows just above it, where both CDFs are 1
     (("analyze", "--norm", "1.3407807929942596e154", "--sigma", "1", "--radius", "1"), None),
@@ -586,7 +587,7 @@ class TestConfigAndOutput:
         cfg.write_text("norm = 5\nsigma = abc\nradius = 2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2 and out == ""
-        assert err == "error: config value 'abc' is invalid for --sigma\n"
+        assert err == "error: --config: value 'abc' is invalid for --sigma\n"
         # a value that casts but fails the library's check is named by its flag too
         cfg.write_text("norm = 5\nsigma = 0\nradius = 2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))

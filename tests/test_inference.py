@@ -360,8 +360,8 @@ class TestTabulateCurves:
         with pytest.raises(DomainError):
             tabulate_curves(obs, [2.0, 1.0])
         for grid, message in [
-            ([], "grid must be a nonempty 1-d array, got shape (0,)"),
-            ([[0.0, 1.0]], "grid must be a nonempty 1-d array, got shape (1, 2)"),
+            ([], "grid must have a nonempty 1-d shape, got (0,)"),
+            ([[0.0, 1.0]], "grid must have a nonempty 1-d shape, got (1, 2)"),
             ([-1.0, 1.0], "grid values must be finite and nonnegative, got grid[0] = -1.0"),
         ]:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
