@@ -83,20 +83,8 @@ class SweepConfig:
     threshold: float = 0.95
 
     def __post_init__(self) -> None:
-        try:
-            if isinstance(self.sigma_grid, (str, bytes)):  # else read per character
-                raise TypeError
-            entries = tuple(self.sigma_grid)
-        except TypeError:
-            raise DomainError("entries must be numbers", ("sigma_grid", self.sigma_grid))
-        grid = []
-        for i, s in enumerate(entries):
-            try:
-                grid.append(float(s))
-            except (TypeError, ValueError):
-                raise DomainError("entries must be numbers", (f"sigma_grid[{i}]", s))
-        require_grid("sigma_grid", np.array(grid, dtype=float), positive=True)
-        object.__setattr__(self, "sigma_grid", tuple(grid))
+        grid = require_grid("sigma_grid", self.sigma_grid, positive=True)
+        object.__setattr__(self, "sigma_grid", tuple(grid.tolist()))
         object.__setattr__(self, "n_reps", require_count("n_reps", self.n_reps, 1, MAX_ROWS))
         object.__setattr__(self, "seed", require_count("seed", self.seed, 0))
         object.__setattr__(self, "threshold", require_open_unit("threshold", self.threshold))

@@ -185,7 +185,7 @@ class CurveTable:
 
 def tabulate_curves(obs: Observation, grid) -> CurveTable:
     """Evaluate both CDFs and both centered curves over a delta grid."""
-    grid = require_grid("grid", np.asarray(grid, dtype=float))
+    grid = require_grid("grid", grid)
     # |y| first: a per-point call fails on it whenever its delta does not overflow
     y2 = require_squared_ratio("|y|", obs.norm, obs.sigma)
     d2 = require_squared_ratio("delta", grid, obs.sigma)

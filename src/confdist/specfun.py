@@ -69,8 +69,8 @@ _PROB_SLACK = 1e-9
 # the most rows of an (n, 2) float64 array: numpy refuses one whose byte
 # size exceeds sys.maxsize, so a larger count of draws or points is refused first
 MAX_ROWS = sys.maxsize // 16
-# power series / asymptotic crossover for I0
-_I0_SERIES_LIMIT = 50.0
+# numpy's I0 up to this x, the asymptotic series of I0e beyond it
+_I0_ASYMPTOTIC_FROM = 50.0
 _DIRECT_LIMIT = 2.0 * _EXP_LIMIT  # G2's direct series holds up to this x and nu
 # Rice quadrature beyond it: 18 equal panels of [-9, top] with 8 Gauss-Legendre
 # nodes each, in blocks of _RICE_ROWS elements to bound memory. The nodes and
@@ -90,34 +90,42 @@ _I0E_ASYMPTOTIC = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in rang
 
 
 # Argument checks shared by every module: each returns the value as a
-# float (or int, the squared ratio to sigma, or the grid itself) and raises
-# a DomainError that carries the inputs at fault, built only on failure;
-# the CLI names each input by the flag that set it.
+# float (or int, the squared ratio to sigma, or the grid as a float array)
+# and raises a DomainError that carries the inputs at fault, built only on
+# failure; the CLI names each input by the flag that set it.
+
+
+def _as_float(name: str, value, rule: str = "must be a number") -> float:
+    # float(value), or a DomainError naming the input for what float() refuses
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(rule, (name, value)) from None
 
 
 def require_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     if not math.isfinite(value):
         raise DomainError("must be finite", (name, value))
     return value
 
 
 def require_nonnegative(name: str, value: float) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     if not math.isfinite(value) or value < 0.0:
         raise DomainError("must be finite and nonnegative", (name, value))
     return value
 
 
 def require_positive(name: str, value: float) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError("must be finite and positive", (name, value))
     return value
 
 
 def require_open_unit(name: str, value: float) -> float:
-    value = float(value)
+    value = _as_float(name, value)
     if not 0.0 < value < 1.0:
         raise DomainError("must lie strictly between 0 and 1", (name, value))
     return value
@@ -141,12 +149,23 @@ def require_squared_ratio(name: str, value, sigma: float, *inputs: tuple[str, ob
     return ratio * ratio
 
 
-def require_grid(name: str, grid: np.ndarray, positive: bool = False) -> np.ndarray:
-    """grid itself if it is a nonempty 1-d float array of finite, strictly
-    increasing values that are > 0 if positive, else >= 0.
+def require_grid(name: str, grid, positive: bool = False) -> np.ndarray:
+    """grid, any sequence of numbers or number text, as a float array (a float
+    ndarray itself, not a copy) if it is nonempty, 1-d, finite, strictly
+    increasing and > 0 if positive, else >= 0.
 
-    Each error but the shape's carries the entries at fault, by index.
+    A str, bytes or non-iterable grid is refused whole; the entries are walked,
+    to name the first that float() refuses, only if numpy cannot read them.
+    Each other error but the shape's carries the entries at fault, by index.
     """
+    if isinstance(grid, (str, bytes)) or not np.iterable(grid):  # no text read per character
+        raise DomainError("entries must be numbers", (name, grid))
+    entries = grid if isinstance(grid, np.ndarray) else tuple(grid)  # a generator reads once
+    try:
+        grid = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        grid = np.array([_as_float(f"{name}[{i}]", entry, "entries must be numbers")
+                         for i, entry in enumerate(entries)])
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("must have a nonempty 1-d shape", (name, grid.shape))
     at = lambda i: (f"{name}[{i}]", grid[i].item())  # noqa: E731
@@ -177,24 +196,14 @@ def require_count(name: str, value: int, minimum: int, maximum: int | None = Non
 def bessel_i0_scaled(x: float) -> float:
     """exp(-x) * I0(x), safe for arbitrarily large x.
 
-    For x > 50 uses the asymptotic series
-    (2 pi x)^{-1/2} * sum_k a_k / x^k with a_k = ((2k-1)!!)^2 / (k! 8^k),
-    its first 11 terms; below that, exp(-x) times the power series.
-    Relative error <= 1e-12 (<= 1e-15 above 50).
+    Up to x = 50, exp(-x) times numpy.i0 (the Cephes Chebyshev expansions);
+    beyond, the asymptotic series (2 pi x)^{-1/2} * sum_k a_k / x^k with
+    a_k = ((2k-1)!!)^2 / (k! 8^k), its first 11 terms.
+    Relative error <= 1e-15.
     """
     x = require_nonnegative("x", x)
-    if x <= _I0_SERIES_LIMIT:
-        # I0(x) = sum_k (x^2/4)^k / (k!)^2; all terms positive, no cancellation.
-        # The sum meets 1e-17 by k = 61 at x = 50, the worst case, so 80 terms suffice.
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 80):
-            term *= q / (k * k)
-            total += term
-            if term <= total * 1e-17:
-                break
-        return math.exp(-x) * total
+    if x <= _I0_ASYMPTOTIC_FROM:
+        return math.exp(-x) * float(np.i0(x))
     return _i0e_asymptotic(1.0 / x) / math.sqrt(2.0 * math.pi * x)
 
 

@@ -52,6 +52,7 @@ class TestScenarioAndConfig:
     def test_sweep_config_validation(self):
         cfg = SweepConfig(sigma_grid=(0.5, 2.0), n_reps=10, seed=0)
         assert cfg.threshold == 0.95
+        assert SweepConfig((s for s in (0.5, 2.0)), 10, 0).sigma_grid == (0.5, 2.0)
         with pytest.raises(DomainError):
             SweepConfig(sigma_grid=(2.0, 1.0), n_reps=10, seed=0)
         with pytest.raises(DomainError):
@@ -65,6 +66,7 @@ class TestScenarioAndConfig:
             ((2, 1, -1), "sigma_grid values must be finite and positive, got sigma_grid[2] = -1.0"),
             ("25", "sigma_grid entries must be numbers, got '25'"),
             (b"25", "sigma_grid entries must be numbers, got b'25'"),
+            (3, "sigma_grid entries must be numbers, got 3"),
         ]:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 SweepConfig(sigma_grid=grid, n_reps=10, seed=0)
@@ -74,6 +76,13 @@ class TestScenarioAndConfig:
             SweepConfig(sigma_grid=(1.0,), n_reps=10, seed=-1)
         with pytest.raises(DomainError):
             SweepConfig(sigma_grid=(1.0,), n_reps=10, seed=0, threshold=1.0)
+
+    def test_sigma_grid_text_reads_as_float_does(self):
+        # numpy's text reader, not float(), parses the entries; CI runs this on
+        # the oldest numpy that pyproject.toml accepts as well as the newest
+        text = (" 0.5", "+2", "1_000", "2.5e3\t")
+        got = SweepConfig(text, 10, 0).sigma_grid
+        assert [x.hex() for x in got] == [float(t).hex() for t in text]
 
 
 def _ratios(scen: Scenario, seed: int, key: tuple[int, ...], n: int) -> np.ndarray:

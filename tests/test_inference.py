@@ -363,6 +363,10 @@ class TestTabulateCurves:
             ([], "grid must have a nonempty 1-d shape, got (0,)"),
             ([[0.0, 1.0]], "grid must have a nonempty 1-d shape, got (1, 2)"),
             ([-1.0, 1.0], "grid values must be finite and nonnegative, got grid[0] = -1.0"),
+            (["a", 1.0], "grid entries must be numbers, got grid[0] = 'a'"),
+            # refused whole: not read per character, nor as a 0-d array
+            ("0:1:3", "grid entries must be numbers, got '0:1:3'"),
+            (3, "grid entries must be numbers, got 3"),
         ]:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 tabulate_curves(obs, grid)

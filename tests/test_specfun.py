@@ -105,10 +105,10 @@ class TestBesselI0:
         oracle = mp_i0_series(1.0)
         assert abs(oracle - I0_AT_1) <= 1e-15
         want = I0_AT_1 * math.exp(-1.0)
-        assert abs(bessel_i0_scaled(1.0) - want) <= 1e-12 * want
+        assert abs(bessel_i0_scaled(1.0) - want) <= 1e-15 * want
         for x in (0.3, 2.0, 7.5, 20.0, 49.0):
             want = float(mp_i0_series(x) * mp.exp(-mp.mpf(x)))
-            assert abs(bessel_i0_scaled(x) - want) <= 1e-12 * want
+            assert abs(bessel_i0_scaled(x) - want) <= 1e-15 * want
 
     def test_scaled_matches_asymptotic_expansion(self):
         # independent 4-term oracle: (2 pi x)^{-1/2} sum a_k / x^k,
@@ -118,12 +118,12 @@ class TestBesselI0:
         oracle = series / math.sqrt(2.0 * math.pi * x)
         got = bessel_i0_scaled(x)
         assert abs(got - oracle) <= 1e-6 * oracle
-        assert abs(got - I0E_AT_50) <= 1e-12 * I0E_AT_50
+        assert abs(got - I0E_AT_50) <= 1e-15 * I0E_AT_50
 
     def test_scaled_consistent_across_switchover(self):
         for x in (48.0, 49.9, 50.1, 55.0, 80.0):
             want = float(mp_i0_series(x) * mp.exp(-mp.mpf(x)))
-            assert abs(bessel_i0_scaled(x) - want) <= 1e-12 * want
+            assert abs(bessel_i0_scaled(x) - want) <= 1e-15 * want
 
     def test_scaled_large_arguments(self):
         for x in (1e4, 1e6, 1e8):
@@ -580,6 +580,8 @@ class TestArgumentChecks:
         assert require_nonnegative("a", 0) == 0.0
         assert require_positive("a", 3) == 3.0
         assert require_open_unit("a", 0.25) == 0.25
+        assert require_finite("a", " -2.5e1\n") == -25.0  # what float() reads
+        assert require_nonnegative("a", True) == 1.0
         assert require_count("a", 5.0, 1) == 5
         assert isinstance(require_count("a", np.int64(7), 0), int)
 
@@ -601,6 +603,10 @@ class TestArgumentChecks:
             (require_count, ("3", 0)),
             (require_count, (None, 0)),
         ]
+        # what float() refuses, by ValueError, TypeError or OverflowError
+        cases += [(check, (bad,)) for bad in ("a", None, 10**400, [0.5])
+                  for check in (require_finite, require_nonnegative, require_positive,
+                                require_open_unit)]
         for check, args in cases:
             with pytest.raises(DomainError, match="^arg "):
                 check("arg", *args)
