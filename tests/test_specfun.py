@@ -30,7 +30,7 @@ from oracles import mc_gamma2, mp_g2, rice_g2
 
 # raw G2 results either side of the 1e-9 slack around [0, 1]: each is
 # clamped to the float given, or (None) rejected with a ConvergenceError
-OUTSIDE_UNIT = ((-5e-10, 0.0), (1.0 + 5e-10, 1.0), (-1e-8, None), (1.5, None))
+OUTSIDE_UNIT = ((-5e-10, 0.0), (1.0 + 5e-10, 1.0), (-1e-8, None), (1.5, None), (math.nan, None))
 
 
 def _clamped_or_message(g2, x, nu) -> str:
@@ -452,14 +452,9 @@ class TestVectorHelpers:
                 assert np.ndim(got) == 0 and got == noncentral_chisq2_cdf(x, nu), (x, nu)
 
     def test_empty_and_invalid_inputs(self):
+        # invalid arguments are refused before _cdf_grid, as test_fuzz's spy checks
         assert _cdf_grid(np.array([]), 1.0).size == 0
         assert _cdf_grid(1.0, np.array([])).size == 0
-        with pytest.raises(DomainError, match=r"^x .*, got -1\.0$"):
-            _cdf_grid(np.array([2.0, -1.0]), 1.0)
-        with pytest.raises(DomainError, match=r"^x .*, got inf$"):
-            _cdf_grid(np.array([2.0, math.inf]), 1.0)
-        with pytest.raises(DomainError, match=r"^nu .*, got nan$"):
-            _cdf_grid(1.0, np.array([1.0, math.nan]))
 
     def test_outer_grid_matches_scalar(self):
         xs = np.array([0.0, 0.015625, 0.64, 4.0, 16.0, 63.36, 140.0])
