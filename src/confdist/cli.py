@@ -12,7 +12,8 @@ parameter (keys match the long flag names); explicit flags win. Exit
 codes: 0 success, 2 usage or validation error, 1 numerical failure.
 
 Each command is one table of Param entries (COMMANDS): the argparse flags,
-config keys and flag > config > default precedence derive from it; the
+which only split the command line, the config keys and the flag > config >
+default precedence derive from it; _resolve casts each value's text once, the
 domain checks are the library's, and _report names each input by its flag.
 A runner returns one Record, and _render alone formats it as text, csv or json.
 """
@@ -69,8 +70,8 @@ REQUIRED = object()  # Param.default of a parameter that has none
 
 
 class Param(NamedTuple):
-    """One command-line parameter. cast reads flag and config text; default
-    is config text, None (optional) or REQUIRED."""
+    """One command-line parameter. cast reads its flag, config or default text;
+    default is text, None (optional) or REQUIRED."""
 
     flag: str
     cast: Callable[[str], object]
@@ -111,24 +112,22 @@ FORMAT = Param("--format", str, "output format", choices=("text", "csv", "json")
 
 
 def _resolve(params: tuple[Param, ...], args, cfg: dict[str, str]) -> argparse.Namespace:
-    """Each parameter's value by flag > config > default, cast and within its choices."""
+    """Each parameter's text by flag > config > default, cast once and within its choices."""
     unknown = sorted(set(cfg) - {p.key for p in params})
     if unknown:
         raise UsageError(f"--config: keys not used by this command: {', '.join(unknown)}")
     values = {}
     for p in params:
-        value = getattr(args, p.key)
-        text = cfg.get(p.key, p.default)
-        if value is None and text is REQUIRED:
+        text = vars(args).get(p.key, cfg.get(p.key, p.default))
+        if text is REQUIRED:
             raise UsageError(f"{p.flag} is required")
-        if value is None and text is not None:
-            try:
-                value = p.cast(text)
-            except ValueError:
-                raise UsageError(f"--config: value {text!r} is invalid for {p.flag}")
-        if p.choices and value is not None and value not in p.choices:
-            raise UsageError(f"{p.flag} must be one of {', '.join(p.choices)}")
-        values[p.key] = value
+        try:
+            values[p.key] = None if text is None else p.cast(text)
+        except ValueError:
+            rule = "must be an integer" if p.cast is int else "must be a number"
+            raise UsageError(rule, (p.key, text)) from None
+        if p.choices and values[p.key] not in p.choices:
+            raise UsageError(f"must be one of {', '.join(p.choices)}", (p.key, text))
     return argparse.Namespace(**values)
 
 
@@ -338,17 +337,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (summary, _, params) in COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         for p in params:
-            command.add_argument(p.flag, type=p.cast, choices=p.choices, metavar=p.metavar,
-                                 help=_help(p))
+            metavar = "{%s}" % ",".join(p.choices) if p.choices else p.metavar
+            command.add_argument(p.flag, default=argparse.SUPPRESS, metavar=metavar, help=_help(p))
         command.add_argument("--config", metavar="FILE",
                              help="flat key = value file supplying parameter defaults")
     return parser
 
 
 def _report(exc: ConfdistError, command: str, values: argparse.Namespace | None) -> int:
-    """Print exc with each input named by its flag (|y| by --norm, or else --y1 and --y2;
-    delta by analyze's --radius or curve's --grid): exit 2, or 1 for a numerical failure."""
+    """Print exc, each input named by its flag (|y| by --norm or else --y1 and --y2, delta
+    by --radius or --grid, sigma by sweep's --sigma-grid): exit 2, or 1 for a numerical failure."""
     flags = {p.key: p.flag for p in COMMANDS[command][2]}
+    flags.setdefault("sigma", "--sigma-grid")  # sweep has no --sigma
     flags["|y|"] = "--norm" if getattr(values, "norm", None) is not None else "--y1 and --y2"
     flags["delta"] = "--radius" if command == "analyze" else "--grid"
     refused = isinstance(exc, (UsageError, DomainError))
@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     _, run, params = COMMANDS[args.command]
     values = None
     try:
-        cfg = _load_config(args.config) if args.config else {}
+        cfg = {} if args.config is None else _load_config(args.config)
         values = _resolve(params, args, cfg)
         _write_output(_render(values.format, run(values)), values.output)
     except ConfdistError as exc:

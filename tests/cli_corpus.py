@@ -97,6 +97,7 @@ CORPUS = [
     "analyze --config {tmp}/domain.cfg",
     "analyze --config {tmp}/yaml.cfg",
     "analyze --config {tmp}/absent.cfg",
+    "analyze --config '' --norm 5 --sigma 2.5 --radius 2",
     "analyze --config {tmp}/not_utf8.cfg",
     f"analyze {REFERENCE} --output {{tmp}}",
     # domain errors, each printed under the flag that set the value
@@ -151,6 +152,7 @@ CORPUS = [
     "sweep --n-reps 100000000000000000000000 --sigma-grid 1",
     # more than one bad input: which is reported first
     "sweep --workers 0 --n-reps 0",
+    "analyze --norm abc --sigma 2.5 --radius 2 --config {tmp}/absent.cfg",
     "curve --norm -1 --sigma 1 --grid 5:1:10",
     "curve --norm 5 --sigma 1 --grid 5:1:10 --config {tmp}/xml.cfg",
     "sweep --n-reps 10 --sigma-grid 0.5,.,2 --config {tmp}/xml.cfg",
@@ -224,8 +226,9 @@ def run(command: str, tmp: Path) -> dict[str, object]:
         try:
             code = main(argv)
         except SystemExit as exc:
-            # argparse refused the command line; its usage line wraps at the
-            # terminal width, so only its error line is kept
+            # argparse refused the line's syntax (an unknown flag, a flag without
+            # its value, no command); its usage line wraps at the terminal
+            # width, so only its error line is kept
             code = exc.code
             stderr = io.StringIO(stderr.getvalue().splitlines()[-1] + "\n")
     record = {"exit": code, "stdout": stdout.getvalue().split("\n"),
@@ -244,7 +247,6 @@ def write_configs(tmp: Path) -> None:
 
 
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
-ARGPARSE_ERROR = re.compile(r"confdist \w+: error: ")  # the line run() keeps of it
 ERROR_PREFIX = {1: "numerical failure: --", 2: "error: --"}
 
 
@@ -253,15 +255,14 @@ def faults(record: dict[str, object]) -> list[str]:
     prints no nan or infinity to stdout or the --output file, and nothing
     to stderr. Exit 2, a refused input, and exit 1, a numerical failure,
     print nothing to stdout and one stderr line that starts with the flag at
-    fault: "error: --" (or argparse's own error line), and "numerical failure: --"."""
+    fault: "error: --" and "numerical failure: --"."""
     code, err = record["exit"], record["stderr"]
     if code == 0:
         bad = [f"{key} line {i}: {line}" for key in ("stdout", "file")
                for i, line in enumerate(record.get(key, ()), 1) if NON_FINITE.search(line)]
         return bad + ([] if err == [""] else [f"exit 0 with stderr {err}"])
     prefix = ERROR_PREFIX.get(code)
-    if prefix is None or record["stdout"] != [""] or len(err) != 2 or not (
-            err[0].startswith(prefix) or code == 2 and ARGPARSE_ERROR.match(err[0])):
+    if prefix is None or record["stdout"] != [""] or len(err) != 2 or not err[0].startswith(prefix):
         return [f"exit {code} with stdout {record['stdout'][:3]} and stderr {err}"]
     return []
 

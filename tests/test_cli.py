@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import confdist.cli
-from confdist import ConvergenceError
+from confdist import BracketError, ConvergenceError
 from confdist.cli import ANALYZE_HEADER, CURVE_HEADER, PIT_HEADER, SWEEP_HEADER, main
 
 
@@ -88,6 +88,10 @@ CURVE = ("curve", "--norm", "5", "--sigma", "2.5")
     # names the grid entry that set sigma
     (SWEEP + ("--delta-true", "1e200", "--radius", "1", "--sigma-grid", "1e-200"),
      "--delta-true and --sigma-grid", "1e+200 and sigma_grid[0] = 1e-200"),
+    # text that fails its cast or its choices, named as the library's refusals are
+    (ANALYZE + ("--norm", "abc"), "--norm", "'abc'"),
+    (SWEEP + ("--n-reps", "1.5"), "--n-reps", "'1.5'"),
+    (ANALYZE + ("--format", "yaml"), "--format", "'yaml'"),
 ])
 def test_bad_value_names_flag_and_value(capsys, argv, named, value):
     code, out, err = run_cli(capsys, *argv)
@@ -126,6 +130,19 @@ def test_sweep_names_the_grid_entry_whose_draws_overflow(capsys):
     assert code == 2
     assert err == ("error: --delta-true and --sigma-grid must give draws with a finite norm |y|, "
                    "got 1.0 and sigma_grid[1] = 1.7e+308\n")
+
+
+def test_sweep_names_the_grid_for_a_failed_exact_root(capsys, monkeypatch):
+    # exact_row names its sigma, which sweep sets by --sigma-grid
+    def unbracketed(*args, **kwargs):
+        raise BracketError("never reaches the target")
+
+    monkeypatch.setattr(confdist.calibration, "invert_monotone", unbracketed)
+    code, out, err = run_cli(capsys, "sweep", "--sigma-grid", "0.5,2", "--n-reps", "10")
+    assert code == 1 and out == ""
+    assert err == ("numerical failure: --delta-true and --radius and --sigma-grid and --threshold "
+                   "must let exact_row solve its Bayes threshold root nu_star (never reaches the "
+                   "target), got 1.99 and 2.0 and 0.5 and 0.95\n")
 
 
 class TestAnalyze:
@@ -587,7 +604,7 @@ class TestConfigAndOutput:
         cfg.write_text("norm = 5\nsigma = abc\nradius = 2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2 and out == ""
-        assert err == "error: --config: value 'abc' is invalid for --sigma\n"
+        assert err == "error: --sigma must be a number, got 'abc'\n"
         # a value that casts but fails the library's check is named by its flag too
         cfg.write_text("norm = 5\nsigma = 0\nradius = 2\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
@@ -595,12 +612,12 @@ class TestConfigAndOutput:
         assert err == "error: --sigma must be finite and positive, got 0.0\n"
 
     def test_config_format_outside_choices(self, capsys, tmp_path):
-        # argparse checks the choices of a flag; _resolve those of a config value
+        # a config value is checked against its choices as a flag's is
         cfg = tmp_path / "run.cfg"
         cfg.write_text("norm = 5\nsigma = 2.5\nradius = 2\nformat = yaml\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2 and out == ""
-        assert err == "error: --format must be one of text, csv, json\n"
+        assert err == "error: --format must be one of text, csv, json, got 'yaml'\n"
 
     def test_output_naming_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, *ANALYZE, "--output", str(tmp_path))
@@ -644,6 +661,12 @@ class TestConfigAndOutput:
         )
         assert code == 2
         assert "--format" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "curve", "sweep", "pit"])
+    def test_help_lists_format_choices(self, capsys, command):
+        # _resolve checks the choices; --help still lists them
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--format {text,csv,json}" in out
 
 
 def _text_rows(out: str) -> list[list[float]]:
